@@ -11,15 +11,22 @@ FUZZ_SEED ?= 3405691582
 
 .PHONY: test lint lint-flow sanitize bench bench-quick bench-quick-record \
         bench-experiments bench-dispatch bench-rack dispatch-smoke \
-        rack-smoke profile profile-net experiments fuzz fuzz-smoke
+        rack-smoke profile profile-net experiments fuzz fuzz-smoke paper
 
-## Lint + bench smoke + fuzz smoke + dispatch smoke + full test suite.
+## Lint + bench smoke + fuzz smoke + dispatch smoke + paper-shape
+## assertions + full test suite.
 ## tests/test_experiments_runner.py includes the parallel-equals-sequential
 ## smoke check for the experiment engine; bench-quick fails if a gated
 ## benchmark regresses below 0.9x of its committed
 ## BENCH_substrate_quick.json throughput.
-test: lint lint-flow bench-quick fuzz-smoke dispatch-smoke rack-smoke
+test: lint lint-flow bench-quick fuzz-smoke dispatch-smoke rack-smoke paper
 	$(PYTHON) -m pytest -x -q
+
+## The paper-shape assertions under benchmarks/ (who wins, crossovers,
+## rough factors for Fig. 3/4/7/8/9/10, Tables 3-6 and the ablations).
+## They sit outside the tier-1 testpaths.
+paper:
+	$(PYTHON) -m pytest benchmarks -x -q
 
 ## CI smoke for the rack fabric: the reduced 8-sender incast sweep,
 ## sequential vs parallel byte-identity plus the GBN-worse-than-IRN

@@ -13,52 +13,32 @@ The kernel is intentionally minimal but complete:
 * :class:`Process` — drives a generator; yielding an event suspends the
   process until the event fires.  A process is itself an event, so
   processes can wait on each other.
-* :class:`Environment` — the calendar queue and clock.
+* :class:`Environment` — the event queue and clock.
 * :func:`any_of` / :func:`all_of` — composite conditions.
 
-Scheduling structure: a three-lane calendar queue tuned for the
-near-monotone timestamps a simulator produces (DESIGN.md has the full
-architecture notes):
+Scheduling structure (DESIGN.md, "Event queue"):
 
 * ``_imm`` — a deque of events triggered at the current time
   (``succeed``/``fail``/``defer``/process wake-ups).  Pure append /
   popleft, no keys.
-* ``_cur`` + ``_buckets`` — the near future.  ``_buckets`` is a ring of
-  ``_RING`` time buckets of width ``_width``; events land in the bucket
-  of their timestamp with a single float multiply (no ``int()`` on the
-  fast path: the bucket test against ``_jp1``/``_hor`` is a pure float
-  compare that is exactly equivalent to the integer bucket index for
-  non-negative offsets).  ``_cur`` is the bucket currently being
-  drained, kept sorted descending by time so the next event pops off
-  the end; inserts that land in the bucket being drained take a
-  front-insert fast path (monotone traffic) or a binary search.
-* ``_ovf`` — the far-future overflow ladder: everything beyond the
-  ring's horizon, kept unsorted until the ring drains, then re-spilled
-  into a fresh epoch (``_respill``) with a bucket width adapted to the
-  observed span.  Chronically single-entry buckets trigger ``_widen``,
-  which re-spills at 8x the width so steady workloads settle into a
-  few events per bucket.
+* ``_heap`` — a ``heapq`` list of ``(t, tie, event)`` entries for
+  everything due strictly after ``now``.  ``tie`` comes from a
+  per-environment counter, so events scheduled for the same timestamp
+  fire in FIFO order of scheduling.
 
-Determinism: events scheduled for the same timestamp fire in FIFO order
-of scheduling.  The classic heap needed an explicit counter in the key
-for this; the calendar queue preserves it structurally — equal
-timestamps always map to the same lane and the same bucket, appends
-happen in schedule order, and every sort is stable (the gather paths
-concatenate overflow, then ring, then current lane, which is the order
-that keeps split ties in schedule order) — so runs are exactly
-reproducible and byte-identical to the heap engine this replaces.
+A timed entry due at exactly ``now`` fires before the ``_imm`` lane: it
+was scheduled before the clock reached this timestamp, so it predates
+every current-time trigger.  Together the two rules make runs exactly
+reproducible, seed for seed.
 
 Performance: this kernel is the innermost loop of every experiment, so
 the hot paths are deliberately low-level Python.  All event classes use
-``__slots__``; :meth:`Environment.run` inlines the dispatch loop, the
-one-hop bucket advance *and* the process-resume fast path instead of
-calling :meth:`Environment.step` / ``Process._resume`` per event; an
-event's absolute fire time is stored on the event itself (``_t``) so
-the queue holds bare events, no key tuples; and process bootstrap /
-immediate-resume wake-ups are scheduled through bare pre-triggered
-events built with ``Event.__new__`` rather than the full constructor +
-``succeed`` path.  A "processed" event is simply one whose
-``callbacks`` have been detached (set to ``None``) — there is no
+``__slots__``; :meth:`Environment.timeout` and friends build their
+events with ``Timeout.__new__`` and push them without a helper frame;
+and process bootstrap / immediate-resume wake-ups are scheduled through
+bare pre-triggered events built with ``Event.__new__`` rather than the
+full constructor + ``succeed`` path.  A "processed" event is simply one
+whose ``callbacks`` have been detached (set to ``None``) — there is no
 separate processed state to store per dispatch.  Every shortcut
 enqueues exactly one entry at exactly the point the naive code would,
 so event order — and therefore every experiment output — is unchanged.
@@ -68,7 +48,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from operator import attrgetter
+from heapq import heappop, heappush
+from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -111,26 +92,6 @@ _TRIGGERED = 1  # scheduled, not yet processed
 _orphan_repr_seq = 0
 
 
-# Calendar-queue geometry.  _RING buckets of _width seconds each; the
-# horizon test works in bucket units (``d`` below), so ``_hor`` is kept
-# as ``_j + _RING`` in float.  _SPILL bounds how many overflow entries a
-# re-spill moves into one epoch; _SCAN_LIMIT bounds how many empty
-# buckets the cold advance scans before declaring the ring sparse and
-# rebuilding; _THIN_LIMIT is how many consecutive single-entry buckets
-# trigger a width increase.
-_RING = 256
-_RING_MASK = _RING - 1
-_SPILL = 4096
-_SCAN_LIMIT = 48
-_THIN_LIMIT = 2048
-_FILL = float(_RING - 1)
-# A backlog at or below this stays in the flat lane (``_cur`` alone,
-# width = inf); above it, _flat_exit restores bucketed operation.
-_FLAT_LIMIT = 64
-
-_EV_T = attrgetter("_t")
-
-
 def _NO_WAITERS(event):
     """Shared sentinel for ``callbacks`` = "triggered, nobody waiting yet".
 
@@ -141,7 +102,7 @@ def _NO_WAITERS(event):
 
     * a ``list``      — the general form (pending events, multiple waiters);
     * a :class:`Process` — exactly one waiting process, stored bare (the
-      dispatch loop resumes it without even a bound-method call);
+      dispatch loop calls its ``_resume`` directly);
     * a callable      — exactly one non-process waiter, stored bare;
     * this sentinel   — triggered with no waiters yet (callable no-op, so
       the dispatch loop can invoke a non-list ``callbacks`` blindly);
@@ -158,11 +119,10 @@ class Event:
     reaches it (after everything already queued at this timestamp).
     """
 
-    # ``_seq`` is assigned lazily on first repr (see ``_stable_seq``) and
-    # ``_t`` (absolute fire time) only when an event enters the timed
-    # lanes, so the hot construction paths never touch them.
+    # ``_seq`` is assigned lazily on first repr (see ``_stable_seq``), so
+    # the hot construction paths never touch it.
     __slots__ = ("env", "callbacks", "_value", "_ok", "_state", "_defused",
-                 "_t", "_seq")
+                 "_seq")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -325,8 +285,8 @@ class Process(Event):
         :meth:`_resume` and triggering it — one current-time append —
         but skips the constructor and the ``succeed``/``fail`` state
         checks.  The process itself is stored bare as the hook's
-        ``callbacks`` so the dispatch loop takes its inlined resume
-        path.  ``_defused`` is pre-set so a failure value is considered
+        ``callbacks`` so the dispatch loop calls :meth:`_resume`
+        directly.  ``_defused`` is pre-set so a failure value is considered
         handled (it is delivered into the generator).
         """
         env = self.env
@@ -376,9 +336,8 @@ class Process(Event):
         self._waiting_on = interrupt_ev
 
     def _resume(self, event: Event) -> None:
-        # NOTE: Environment.run inlines this method body per dispatch
-        # loop (saving the call frame on the hottest path); any change
-        # here must be mirrored there.
+        # The dispatch loop in Environment.run calls this for every event
+        # whose sole waiter is a process.
         if self._waiting_on is not event:
             # Stale wake-up: the process was interrupted (or re-targeted)
             # after this event triggered but before it was processed.
@@ -523,38 +482,43 @@ def all_of(env: "Environment", events: Iterable[Event]) -> Event:
     return _Condition(env, events, need_all=True)
 
 
-class Environment:
-    """The simulation clock and calendar queue."""
+class _Next(Event):
+    """The :meth:`Environment.step` stop event for :meth:`Environment.run`.
 
-    __slots__ = ("_now", "_imm", "_cur", "_buckets", "_j", "_jp1", "_hor",
-                 "_t0", "_inv_w", "_width", "_thin", "_ovf", "_ovfd",
-                 "_active_process", "_repr_seq")
+    It reads as processed as soon as ``event`` is, and is always ok with
+    value ``None``, so ``run`` dispatches exactly that one event and
+    returns nothing.
+    """
+
+    __slots__ = ("event",)
+
+    callbacks = property(lambda self: self.event.callbacks)
+
+    def __init__(self, event: Event):
+        self.event = event
+        self._ok = True
+        self._value = None
+
+
+# The stop event of an open-ended ``run``: never scheduled, never processed.
+_NEVER = Event.__new__(Event)
+_NEVER.callbacks = _NO_WAITERS
+
+
+class Environment:
+    """The simulation clock and event queue."""
+
+    __slots__ = ("_now", "_imm", "_heap", "_tie", "_active_process",
+                 "_repr_seq")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         # Current-time lane: events firing at exactly ``now``.
         self._imm: deque[Event] = deque()
-        # Bucket being drained, sorted descending by ``_t`` (pop = end).
-        self._cur: list[Event] = []
-        # The bucket ring and its epoch coordinates.  ``_j`` is the
-        # current bucket index within the epoch, ``_jp1``/``_hor`` its
-        # float mirrors for the push-path compares, ``_t0``/``_width``/
-        # ``_inv_w`` the epoch origin and bucket width.
-        self._buckets: list[list[Event]] = [[] for _ in range(_RING)]
-        self._j = 0
-        self._jp1 = 1.0
-        self._hor = float(_RING)
-        self._t0 = self._now
-        self._width = 1e-6
-        self._inv_w = 1e6
-        self._thin = 0
-        # Far-future overflow ladder (unsorted until re-spill), and the
-        # minimum bucket offset (current-epoch units) of its entries:
-        # the advance paths must never adopt a bucket the ladder still
-        # holds entries for, or a dense ring would let the clock slide
-        # past a far-future event that has since come due.
-        self._ovf: list[Event] = []
-        self._ovfd = math.inf
+        # Future events as ``(t, tie, event)``; ``_tie`` numbers them in
+        # schedule order so equal times pop FIFO.
+        self._heap: list[tuple[float, int, Event]] = []
+        self._tie = count()
         self._active_process: Optional[Process] = None
         self._repr_seq = 0  # see Event._stable_seq
 
@@ -578,272 +542,13 @@ class Environment:
     def _schedule_at(self, t: float, ev: Event) -> None:
         """Enqueue ``ev`` to fire at absolute time ``t``.
 
-        The lane test is a pure function of ``t`` (monotone in ``t``
-        within an epoch), which is what preserves FIFO order for equal
-        timestamps without a tie counter: equal times always take the
-        same lane and the same bucket, where appends happen in schedule
-        order.  ``d < _jp1`` is exactly ``int(d) <= _j`` for ``d >= 0``,
-        so the hot path needs no ``int()`` at all.
+        Times at or before ``now`` join the current-time lane; later
+        ones go on the heap behind every entry already there for ``t``.
         """
-        now = self._now
-        if t <= now:
+        if t > self._now:
+            heappush(self._heap, (t, next(self._tie), ev))
+        else:
             self._imm.append(ev)
-            return
-        ev._t = t
-        inv_w = self._inv_w
-        if not inv_w:
-            # Flat lane (width = inf): ``_cur`` alone carries the
-            # schedule, so skip the epoch math entirely.
-            cur = self._cur
-            if not cur or t >= cur[0]._t:
-                cur.insert(0, ev)
-            else:
-                self._slow_insert(t, ev)
-            if len(cur) > _FLAT_LIMIT:
-                self._flat_exit()
-            return
-        d = (t - self._t0) * inv_w
-        if d < self._jp1:
-            cur = self._cur
-            if not cur or t >= cur[0]._t:
-                cur.insert(0, ev)
-            else:
-                self._slow_insert(t, ev)
-        elif d < self._hor:
-            j = int(d)
-            k = j - self._j
-            if k <= 0:
-                # Float-rounding disagreement with the _jp1 shortcut:
-                # resolve by the integer mapping, the authoritative one.
-                cur = self._cur
-                if not cur or t >= cur[0]._t:
-                    cur.insert(0, ev)
-                else:
-                    self._slow_insert(t, ev)
-            elif k < _RING:
-                self._buckets[j & _RING_MASK].append(ev)
-            else:
-                self._ovf.append(ev)
-                if d < self._ovfd:
-                    self._ovfd = d
-        else:
-            self._ovf.append(ev)
-            if d < self._ovfd:
-                self._ovfd = d
-
-    def _slow_insert(self, t: float, ev: Event) -> None:
-        # ``_cur`` is descending by ``_t``; find the first index whose
-        # time is <= t so the new event lands in front of (= pops after)
-        # every equal-time entry already there.  Index 0 was ruled out
-        # by the front-insert check.
-        cur = self._cur
-        lo, hi = 1, len(cur)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cur[mid]._t > t:
-                lo = mid + 1
-            else:
-                hi = mid
-        cur.insert(lo, ev)
-
-    def _flat_exit(self) -> None:
-        """The flat lane outgrew ``_FLAT_LIMIT``: restore bucketed mode.
-
-        No-op while the lane's span is zero — an equal-time burst
-        occupies a single bucket at any finite width, so the flat lane
-        already serves it at O(1) per event and re-bucketing would just
-        thrash.
-        """
-        cur = self._cur
-        if cur[0]._t <= cur[-1]._t:
-            return
-        cur.reverse()  # ascending again = schedule order for ties
-        # Drain in place: the run loops cache ``_cur`` in a local, and a
-        # push can land mid-dispatch — a stale local is only safe when
-        # the object it still references is empty (same contract as
-        # ``_widen``).
-        entries = self._ovf
-        entries.extend(cur)
-        cur.clear()
-        self._ovf = entries
-        # adopt=False: adopting a bucket into ``_cur`` here would break
-        # the stale-local contract above (the loop's ``cur`` must stay a
-        # truthful emptiness witness for ``self._cur``); the next pop's
-        # else-branch picks the first bucket up lazily instead.
-        self._respill(adopt=False)
-
-    def _advance(self) -> bool:
-        """Refill ``_cur`` from the ring (cold path).
-
-        The run loops inline the one-hop case (next bucket non-empty);
-        this method scans further, and when the ring turns out to be
-        sparse — or drained — gathers everything and re-spills a fresh
-        epoch.  Returns False when no timed events remain anywhere.
-        """
-        buckets = self._buckets
-        j0 = j = self._j
-        limit = j + _SCAN_LIMIT
-        empty = self._cur
-        ovfd = self._ovfd
-        while j < limit:
-            j += 1
-            if ovfd < j + 1.0:
-                # The ladder holds an entry at (or before) this bucket:
-                # merge it in via a gather + re-spill before advancing.
-                break
-            b = buckets[j & _RING_MASK]
-            if b:
-                self._j = j
-                self._jp1 = j + 1.0
-                self._hor = j + 256.0
-                buckets[j & _RING_MASK] = empty  # recycle the drained list
-                if len(b) > 1:
-                    b.sort(key=_EV_T)
-                    b.reverse()
-                    self._thin = 0
-                    self._cur = b
-                else:
-                    # Hop distance — the buckets scanned to get here — is
-                    # the width signal on this path: a serial ms-scale
-                    # pipeline over a µs-scale width pays the whole scan
-                    # on every event, so count the probes, not just the
-                    # adoptions, toward the widening threshold.
-                    th = self._thin + (j - j0)
-                    self._thin = th
-                    self._cur = b
-                    if th >= _THIN_LIMIT:
-                        self._widen()
-                return True
-        # Ring is sparse (or exhausted): gather and re-spill.  Overflow
-        # entries go first — see the tie-break note in ``_widen``.
-        entries = self._ovf
-        for b in buckets:
-            if b:
-                entries.extend(b)
-                b.clear()
-        self._ovf = entries
-        # A scan miss that gathers almost nothing means the backlog has
-        # degenerated to a serial pipeline (one or two pending timers
-        # hopping empty buckets on every pop).  No bucket width serves
-        # that shape well, so drop to the *flat lane*: width := inf maps
-        # every future push onto the ``d < _jp1`` front-insert path, and
-        # ``_cur`` alone — already sorted, popped from the end — carries
-        # the whole schedule at a couple of compares per event.  The
-        # lane reverts to bucketed mode when it outgrows ``_FLAT_LIMIT``
-        # (see ``_flat_exit``).
-        if len(entries) <= 2:
-            if not entries:
-                self._ovfd = math.inf
-                return False
-            if len(entries) > 1:
-                entries.sort(key=_EV_T)
-            entries.reverse()
-            self._cur = entries
-            self._ovf = []
-            self._ovfd = math.inf
-            self._t0 = self._now
-            self._width = math.inf
-            self._inv_w = 0.0
-            self._thin = 0
-            self._j = 0
-            self._jp1 = 1.0
-            self._hor = 256.0
-            return True
-        return self._respill()
-
-    def _widen(self) -> None:
-        """Chronic single-entry buckets: grow the bucket width.
-
-        Gathers everything pending and re-spills with at least 8x the
-        current width, so steady near-monotone traffic lands in the
-        front-insert fast path instead of hopping a bucket per event.
-
-        Tie-break invariant: within an epoch the horizon only grows, so
-        equal-time events can only be split between containers as
-        overflow-entry-first (scheduled while the horizon was smaller),
-        never the other way around.  Gathering overflow, then ring, then
-        the current lane is therefore the one concatenation order under
-        which the stable re-spill sort keeps split ties in schedule
-        order.
-        """
-        self._thin = 0
-        min_width = self._width * 8.0
-        entries = self._ovf
-        for b in self._buckets:
-            if b:
-                entries.extend(b)
-                b.clear()
-        cur = self._cur
-        if cur:
-            cur.reverse()  # back to ascending = schedule order for ties
-            entries.extend(cur)
-            cur.clear()
-        self._ovf = entries
-        self._respill(min_width)
-
-    def _respill(self, min_width: float = 0.0, adopt: bool = True) -> bool:
-        """Rebuild the epoch from ``_ovf`` (ring and ``_cur`` are empty).
-
-        Sorts the ladder (stable — ties stay in schedule order), adapts
-        the bucket width to the span of the earliest ``_SPILL`` entries,
-        and re-buckets everything that fits under the new horizon; the
-        rest stays on the ladder for the next epoch.  The ``_SPILL``
-        window only sizes the buckets — the fill itself runs to the
-        horizon, so every leftover is strictly beyond it (``_ovfd``
-        stays >= the horizon and the advance guard cannot re-trigger an
-        immediate gather).
-        """
-        entries = self._ovf
-        if not entries:
-            self._ovfd = math.inf
-            return False
-        entries.sort(key=_EV_T)
-        if len(entries) > _SPILL:
-            window = entries[:_SPILL]
-        else:
-            window = entries
-        t_first = window[0]._t
-        span = window[-1]._t - t_first
-        width = self._width
-        if 0.0 < span < math.inf:
-            # Target several entries per bucket rather than the textbook
-            # ~1: probes are Python-priced while the per-adoption sort
-            # is a C-priced Timsort, so a small backlog wants fewer,
-            # fatter buckets (64 entries over 128 buckets would pay a
-            # multi-bucket scan on nearly every pop).
-            width = span / max(2.0, min(128.0, len(window) / 6.0))
-        if width < min_width:
-            width = min_width
-        if 0.0 < width < math.inf:
-            self._width = width
-            self._inv_w = 1.0 / width
-        inv_w = self._inv_w
-        self._t0 = t_first
-        buckets = self._buckets
-        count = 0
-        for ev in entries:
-            d = (ev._t - t_first) * inv_w
-            if d >= _FILL:
-                break
-            buckets[int(d) & _RING_MASK].append(ev)
-            count += 1
-        if count == len(entries):
-            self._ovf = []
-            self._ovfd = math.inf
-        else:
-            if count:
-                del entries[:count]
-            # Sorted, so the first leftover is the ladder minimum —
-            # expressed in the new epoch's units.
-            self._ovfd = (entries[0]._t - t_first) * inv_w
-        self._j = -1
-        self._jp1 = 0.0
-        self._hor = 255.0  # matches _FILL: valid iff int(d) <= _j + 255
-        if not adopt:
-            return True
-        refilled = self._advance()
-        assert refilled  # at least one entry was just bucketed
-        return True
 
     # -- factories -------------------------------------------------------
     def event(self) -> Event:
@@ -871,45 +576,7 @@ class Environment:
         now = self._now
         t = now + delay
         if t > now:
-            ev._t = t
-            inv_w = self._inv_w
-            if not inv_w:
-                # Flat lane (width = inf): ``_cur`` alone carries the
-                # schedule, so skip the epoch math entirely.
-                cur = self._cur
-                if not cur or t >= cur[0]._t:
-                    cur.insert(0, ev)
-                else:
-                    self._slow_insert(t, ev)
-                if len(cur) > _FLAT_LIMIT:
-                    self._flat_exit()
-                return ev
-            d = (t - self._t0) * inv_w
-            if d < self._jp1:
-                cur = self._cur
-                if not cur or t >= cur[0]._t:
-                    cur.insert(0, ev)
-                else:
-                    self._slow_insert(t, ev)
-            elif d < self._hor:
-                j = int(d)
-                k = j - self._j
-                if k <= 0:
-                    cur = self._cur
-                    if not cur or t >= cur[0]._t:
-                        cur.insert(0, ev)
-                    else:
-                        self._slow_insert(t, ev)
-                elif k < _RING:
-                    self._buckets[j & _RING_MASK].append(ev)
-                else:
-                    self._ovf.append(ev)
-                    if d < self._ovfd:
-                        self._ovfd = d
-            else:
-                self._ovf.append(ev)
-                if d < self._ovfd:
-                    self._ovfd = d
+            heappush(self._heap, (t, next(self._tie), ev))
         else:
             self._imm.append(ev)
         return ev
@@ -930,45 +597,7 @@ class Environment:
         now = self._now
         t = now + delay
         if t > now:
-            ev._t = t
-            inv_w = self._inv_w
-            if not inv_w:
-                # Flat lane (width = inf): ``_cur`` alone carries the
-                # schedule, so skip the epoch math entirely.
-                cur = self._cur
-                if not cur or t >= cur[0]._t:
-                    cur.insert(0, ev)
-                else:
-                    self._slow_insert(t, ev)
-                if len(cur) > _FLAT_LIMIT:
-                    self._flat_exit()
-                return ev
-            d = (t - self._t0) * inv_w
-            if d < self._jp1:
-                cur = self._cur
-                if not cur or t >= cur[0]._t:
-                    cur.insert(0, ev)
-                else:
-                    self._slow_insert(t, ev)
-            elif d < self._hor:
-                j = int(d)
-                k = j - self._j
-                if k <= 0:
-                    cur = self._cur
-                    if not cur or t >= cur[0]._t:
-                        cur.insert(0, ev)
-                    else:
-                        self._slow_insert(t, ev)
-                elif k < _RING:
-                    self._buckets[j & _RING_MASK].append(ev)
-                else:
-                    self._ovf.append(ev)
-                    if d < self._ovfd:
-                        self._ovfd = d
-            else:
-                self._ovf.append(ev)
-                if d < self._ovfd:
-                    self._ovfd = d
+            heappush(self._heap, (t, next(self._tie), ev))
         else:
             self._imm.append(ev)
         return ev
@@ -1003,11 +632,12 @@ class Environment:
         i-th delivery timestamp and the event's value is ``i``, so a
         single bound method per train serves every packet — one Timeout
         allocation per packet and nothing else (no lambda, no generator
-        resume, no Store traffic).  ``times`` must be non-decreasing
-        (a train's completion sequence), which keeps every insert on the
-        calendar's front-insert/append fast paths.
+        resume, no Store traffic).  Each event gets its own tie, so
+        equal delivery times fire in train order.
         """
-        schedule = self._schedule_at
+        heap = self._heap
+        tie = self._tie
+        now = self._now
         new = _new_timeout
         i = 0
         for t in times:
@@ -1016,7 +646,10 @@ class Environment:
             ev._value = i
             ev._ok = True
             ev._state = _TRIGGERED
-            schedule(t, ev)
+            if t > now:
+                heappush(heap, (t, next(tie), ev))
+            else:
+                self._imm.append(ev)
             i += 1
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -1047,10 +680,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> Event:
         return all_of(self, events)
 
-    # -- scheduling --------------------------------------------------------
-    def _push(self, event: Event, delay: float = 0.0) -> None:
-        self._schedule_at(self._now + delay, event)
-
     def schedule_callback(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` after ``delay`` simulated seconds (fire-and-forget).
 
@@ -1063,39 +692,20 @@ class Environment:
 
     # -- execution ---------------------------------------------------------
     def step(self) -> None:
-        """Process the single next event in the schedule."""
+        """Process the single next event in the schedule.
+
+        Picks the event :meth:`run` would dispatch next and runs until it
+        is processed, so both share one selection and dispatch path.
+        """
+        heap = self._heap
         imm = self._imm
-        cur = self._cur
-        if imm:
-            # Timed entries at exactly ``now`` predate anything in the
-            # current-time lane (they were scheduled before the clock
-            # reached this timestamp), so they fire first.
-            if cur and cur[-1]._t <= self._now:
-                event = cur.pop()
-                self._now = event._t
-            else:
-                event = imm.popleft()
+        if heap and (not imm or heap[0][0] <= self._now):
+            event = heap[0][2]
+        elif imm:
+            event = imm[0]
         else:
-            while not cur:
-                if not self._advance():
-                    raise SimulationError("step() on an empty schedule")
-                cur = self._cur
-            event = cur.pop()
-            self._now = event._t
-        callbacks = event.callbacks
-        event.callbacks = None
-        cls = callbacks.__class__
-        if cls is Process:
-            callbacks._resume(event)
-        elif cls is list:
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
-        else:
-            # Bare single waiter (or the no-op sentinel).  Bare-waiter
-            # events are born ok or born defused, so no teardown check.
-            callbacks(event)
+            raise SimulationError("step() on an empty schedule")
+        self.run(_Next(event))
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -1107,320 +717,56 @@ class Environment:
         * an :class:`Event` — run until that event fires, returning its
           value (or raising its failure).
 
-        The dispatch loops below inline :meth:`step`, the one-hop bucket
-        advance and the body of ``Process._resume`` because this is the
-        simulator's innermost loop; behaviour is identical, one event
-        per iteration in schedule order.
+        One loop serves all three; they differ only in the stop event
+        and the deadline.  A heap entry popped past the deadline is
+        pushed back unchanged, tie included.
         """
-        imm = self._imm
-        buckets = self._buckets
-        cur = self._cur
+        stop = _NEVER
+        deadline = math.inf
         if isinstance(until, Event):
             stop = until
-            while stop.callbacks is not None:
-                if imm:
-                    if cur and cur[-1]._t <= self._now:
-                        event = cur.pop()
-                        self._now = event._t
-                    else:
-                        event = imm.popleft()
-                elif cur:
-                    event = cur.pop()
-                    self._now = event._t
-                else:
-                    j = self._j + 1
-                    b = buckets[j & _RING_MASK]
-                    if b and self._ovfd >= j + 1.0:
-                        self._j = j
-                        self._jp1 = j + 1.0
-                        self._hor = j + 256.0
-                        buckets[j & _RING_MASK] = cur
-                        if len(b) > 1:
-                            b.sort(key=_EV_T)
-                            b.reverse()
-                            self._thin = 0
-                            self._cur = cur = b
-                        else:
-                            th = self._thin + 1
-                            self._thin = th
-                            self._cur = cur = b
-                            if th >= _THIN_LIMIT:
-                                self._widen()
-                                cur = self._cur
-                    elif self._advance():
-                        cur = self._cur
-                    else:
-                        raise SimulationError(
-                            "simulation ran out of events before the awaited event fired"
-                        )
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                cls = callbacks.__class__
-                if cls is Process:
-                    # Inlined Process._resume (see the note there).
-                    proc = callbacks
-                    if proc._waiting_on is event:
-                        self._active_process = proc
-                        try:
-                            if event._ok:
-                                result = proc._send(event._value)
-                            else:
-                                event._defused = True
-                                result = proc._throw(event._value)
-                        except StopIteration as stop_exc:
-                            self._active_process = None
-                            proc.succeed(stop_exc.value)
-                            continue
-                        except Interrupt as exc:
-                            self._active_process = None
-                            proc.succeed(exc.cause)
-                            continue
-                        except BaseException as exc:
-                            self._active_process = None
-                            proc.fail(exc)
-                            continue
-                        try:
-                            rcbs = result.callbacks
-                        except AttributeError:
-                            if result is None:
-                                proc._schedule_resume(True, None)
-                                continue
-                            raise SimulationError(
-                                f"process {proc.name!r} yielded {result!r}; "
-                                "expected an Event or None"
-                            ) from None
-                        if rcbs is _NO_WAITERS:
-                            proc._waiting_on = result
-                            result.callbacks = proc
-                        elif rcbs is None:
-                            if result._ok:
-                                proc._schedule_resume(True, result._value)
-                            else:
-                                result._defused = True
-                                proc._schedule_resume(False, result._value)
-                        elif rcbs.__class__ is list:
-                            proc._waiting_on = result
-                            rcbs.append(proc._resume_cb)
-                        else:
-                            proc._waiting_on = result
-                            if rcbs.__class__ is Process:
-                                rcbs = rcbs._resume_cb
-                            result.callbacks = [rcbs, proc._resume_cb]
-                    elif not event._ok:
-                        event._defused = True
-                elif cls is list:
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                else:
-                    callbacks(event)
-            if stop._ok:
-                return stop._value
-            stop._defused = True
-            raise stop._value
-        if until is None:
-            # Drain the schedule completely: no deadline peek per event.
-            while True:
-                if imm:
-                    if cur and cur[-1]._t <= self._now:
-                        event = cur.pop()
-                        self._now = event._t
-                    else:
-                        event = imm.popleft()
-                elif cur:
-                    event = cur.pop()
-                    self._now = event._t
-                else:
-                    j = self._j + 1
-                    b = buckets[j & _RING_MASK]
-                    if b and self._ovfd >= j + 1.0:
-                        self._j = j
-                        self._jp1 = j + 1.0
-                        self._hor = j + 256.0
-                        buckets[j & _RING_MASK] = cur
-                        if len(b) > 1:
-                            b.sort(key=_EV_T)
-                            b.reverse()
-                            self._thin = 0
-                            self._cur = cur = b
-                        else:
-                            th = self._thin + 1
-                            self._thin = th
-                            self._cur = cur = b
-                            if th >= _THIN_LIMIT:
-                                self._widen()
-                                cur = self._cur
-                    elif self._advance():
-                        cur = self._cur
-                    else:
-                        return None
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                cls = callbacks.__class__
-                if cls is Process:
-                    proc = callbacks
-                    if proc._waiting_on is event:
-                        self._active_process = proc
-                        try:
-                            if event._ok:
-                                result = proc._send(event._value)
-                            else:
-                                event._defused = True
-                                result = proc._throw(event._value)
-                        except StopIteration as stop_exc:
-                            self._active_process = None
-                            proc.succeed(stop_exc.value)
-                            continue
-                        except Interrupt as exc:
-                            self._active_process = None
-                            proc.succeed(exc.cause)
-                            continue
-                        except BaseException as exc:
-                            self._active_process = None
-                            proc.fail(exc)
-                            continue
-                        try:
-                            rcbs = result.callbacks
-                        except AttributeError:
-                            if result is None:
-                                proc._schedule_resume(True, None)
-                                continue
-                            raise SimulationError(
-                                f"process {proc.name!r} yielded {result!r}; "
-                                "expected an Event or None"
-                            ) from None
-                        if rcbs is _NO_WAITERS:
-                            proc._waiting_on = result
-                            result.callbacks = proc
-                        elif rcbs is None:
-                            if result._ok:
-                                proc._schedule_resume(True, result._value)
-                            else:
-                                result._defused = True
-                                proc._schedule_resume(False, result._value)
-                        elif rcbs.__class__ is list:
-                            proc._waiting_on = result
-                            rcbs.append(proc._resume_cb)
-                        else:
-                            proc._waiting_on = result
-                            if rcbs.__class__ is Process:
-                                rcbs = rcbs._resume_cb
-                            result.callbacks = [rcbs, proc._resume_cb]
-                    elif not event._ok:
-                        event._defused = True
-                elif cls is list:
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                else:
-                    callbacks(event)
-        deadline = float(until)
-        if deadline != math.inf and deadline < self._now:
-            raise SimulationError(f"run(until={until!r}) is in the past (now={self._now})")
-        while True:
-            if imm:
-                if cur and cur[-1]._t <= self._now:
-                    event = cur.pop()
-                    self._now = event._t
-                else:
-                    event = imm.popleft()
-            elif cur:
-                event = cur[-1]
-                when = event._t
-                if when > deadline:
+        elif until is not None:
+            deadline = float(until)
+            if deadline < self._now:
+                raise SimulationError(
+                    f"run(until={until!r}) is in the past (now={self._now})")
+        imm = self._imm
+        heap = self._heap
+        while stop.callbacks is not None:
+            if heap and (not imm or heap[0][0] <= self._now):
+                # Timed entries due at exactly ``now`` predate anything in
+                # the current-time lane, so they fire first.
+                t, tie, event = heappop(heap)
+                if t > deadline:
+                    heappush(heap, (t, tie, event))
                     break
-                del cur[-1]
-                self._now = when
+                self._now = t
+            elif imm:
+                event = imm.popleft()
             else:
-                j = self._j + 1
-                b = buckets[j & _RING_MASK]
-                if b and self._ovfd >= j + 1.0:
-                    self._j = j
-                    self._jp1 = j + 1.0
-                    self._hor = j + 256.0
-                    buckets[j & _RING_MASK] = cur
-                    if len(b) > 1:
-                        b.sort(key=_EV_T)
-                        b.reverse()
-                        self._thin = 0
-                        self._cur = cur = b
-                    else:
-                        th = self._thin + 1
-                        self._thin = th
-                        self._cur = cur = b
-                        if th >= _THIN_LIMIT:
-                            self._widen()
-                            cur = self._cur
-                elif self._advance():
-                    cur = self._cur
-                else:
-                    break
-                continue
+                break
             callbacks = event.callbacks
             event.callbacks = None
             cls = callbacks.__class__
             if cls is Process:
-                proc = callbacks
-                if proc._waiting_on is event:
-                    self._active_process = proc
-                    try:
-                        if event._ok:
-                            result = proc._send(event._value)
-                        else:
-                            event._defused = True
-                            result = proc._throw(event._value)
-                    except StopIteration as stop_exc:
-                        self._active_process = None
-                        proc.succeed(stop_exc.value)
-                        continue
-                    except Interrupt as exc:
-                        self._active_process = None
-                        proc.succeed(exc.cause)
-                        continue
-                    except BaseException as exc:
-                        self._active_process = None
-                        proc.fail(exc)
-                        continue
-                    try:
-                        rcbs = result.callbacks
-                    except AttributeError:
-                        if result is None:
-                            proc._schedule_resume(True, None)
-                            continue
-                        raise SimulationError(
-                            f"process {proc.name!r} yielded {result!r}; "
-                            "expected an Event or None"
-                        ) from None
-                    if rcbs is _NO_WAITERS:
-                        proc._waiting_on = result
-                        result.callbacks = proc
-                    elif rcbs is None:
-                        if result._ok:
-                            proc._schedule_resume(True, result._value)
-                        else:
-                            result._defused = True
-                            proc._schedule_resume(False, result._value)
-                    elif rcbs.__class__ is list:
-                        proc._waiting_on = result
-                        rcbs.append(proc._resume_cb)
-                    else:
-                        proc._waiting_on = result
-                        if rcbs.__class__ is Process:
-                            rcbs = rcbs._resume_cb
-                        result.callbacks = [rcbs, proc._resume_cb]
-                elif not event._ok:
-                    event._defused = True
+                callbacks._resume(event)
             elif cls is list:
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
                     raise event._value
             else:
+                # Bare single waiter (or the no-op sentinel).  Bare-waiter
+                # events are born ok or born defused, so no teardown check.
                 callbacks(event)
+        if stop is not _NEVER:
+            if stop.callbacks is not None:
+                raise SimulationError(
+                    "simulation ran out of events before the awaited event fired")
+            if stop._ok:
+                return stop._value
+            stop._defused = True
+            raise stop._value
         if deadline != math.inf:
             self._now = deadline
         return None

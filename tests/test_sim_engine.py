@@ -1,8 +1,14 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import json
+import pathlib
+import random
+
 import pytest
 
 from repro.sim import Environment, Interrupt, SimulationError, all_of, any_of
+
+GOLDEN_TRACES = pathlib.Path(__file__).parent / "data" / "fuzz_trace_golden.json"
 
 
 def test_clock_starts_at_zero():
@@ -392,3 +398,239 @@ def test_second_interrupt_wins():
     env.process(interrupter(target))
     env.run()
     assert log == [(1.0, "second")]
+
+
+def test_interrupt_cancels_pending_near_or_far_timer():
+    """Interrupting a process parked on a near or far timer must deliver
+    exactly one Interrupt, and the stale timer must not resume it."""
+    env = Environment()
+    log = []
+
+    def sleeper(name, delay):
+        try:
+            yield env.timeout(delay)
+            log.append((name, "timeout", env.now))
+        except Interrupt as exc:
+            log.append((name, "interrupt", exc.cause, env.now))
+            yield env.timeout(1e-6)
+            log.append((name, "after", env.now))
+
+    victims = [env.process(sleeper(n, d), name=n)
+               for n, d in (("near", 5e-7), ("mid", 5e-5), ("far", 5.0))]
+
+    def killer():
+        yield env.timeout(1e-7)
+        for v in victims:
+            v.interrupt(cause="cancel")
+
+    env.process(killer())
+    env.run()
+    assert log == [
+        ("near", "interrupt", "cancel", 1e-7),
+        ("mid", "interrupt", "cancel", 1e-7),
+        ("far", "interrupt", "cancel", 1e-7),
+        ("near", "after", 1e-7 + 1e-6),
+        ("mid", "after", 1e-7 + 1e-6),
+        ("far", "after", 1e-7 + 1e-6),
+    ]
+
+
+def test_timed_entry_due_now_fires_before_current_time_lane():
+    """Timers due at the current timestamp were scheduled before the clock
+    got there, so they fire ahead of anything triggered at it."""
+    env = Environment()
+    log = []
+
+    def first(_ev):
+        log.append("a")
+        env.defer(lambda _ev: log.append("deferred"))
+        env.event().succeed()
+
+    env.after(1.0, first)
+    env.after(1.0, lambda _ev: log.append("b"))
+    env.at(1.0, lambda _ev: log.append("c"))
+    env.run()
+    assert log == ["a", "b", "c", "deferred"]
+
+
+#: Delays from sub-microsecond to seconds, with exact zeros for
+#: same-timestamp ties.
+DELAY_CHOICES = (0.0, 0.0, 1e-9, 1e-7, 1e-6, 3e-6, 5e-5, 2e-3, 0.25, 7.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_engine_random_schedule_fifo_invariant(seed):
+    """Randomized after() schedules fire in (time, schedule-order)."""
+    env = Environment()
+    rng = random.Random(seed)
+    fired = []
+    scheduled = []
+    serial = 0
+
+    def driver():
+        nonlocal serial
+        for _ in range(400):
+            delay = rng.choice(DELAY_CHOICES)
+            if delay == 0.0:
+                delay = 1e-7  # after() wants a future fire here
+            t = env.now + delay
+            serial += 1
+            tag = serial
+            scheduled.append((t, tag))
+            env.after(delay, lambda _ev, tag=tag: fired.append((env.now, tag)))
+            if rng.random() < 0.3:
+                yield env.timeout(rng.choice((1e-7, 3e-6, 2e-3)))
+            else:
+                yield None
+
+    env.process(driver())
+    env.run()
+    assert len(fired) == len(scheduled)
+    # The dispatch order must equal the schedule sorted stably by time.
+    want = [(t, tag) for t, tag in
+            sorted(scheduled, key=lambda pair: pair[0])]
+    assert [(t, tag) for t, tag in fired] == want
+
+
+def test_defused_far_future_failure_does_not_raise():
+    """A failure triggered by a far-future callback and consumed by a
+    waiter must not explode at dispatch (teardown-raise only fires for
+    unhandled failures)."""
+    env = Environment()
+    seen = []
+
+    def waiter(ev):
+        try:
+            yield ev
+        except RuntimeError as exc:
+            seen.append(str(exc))
+
+    ev = env.event()
+    env.process(waiter(ev))
+    env.schedule_callback(3.0, lambda: ev.fail(RuntimeError("late-fail")))
+    # Dense foreground traffic so the failure is serviced mid-stream.
+    def ticker():
+        for _ in range(1000):
+            yield env.timeout(1e-2)
+    env.process(ticker())
+    env.run()
+    assert seen == ["late-fail"]
+
+
+#: Binary-exact time quantum: sums of small multiples and the cut points
+#: below compare exactly, so cuts land on real event times.
+UNIT = 2.0 ** -20
+
+
+def _seeded_schedule(env, seed, log):
+    """Workers drawing from one seeded plan: equal-time ties, zero-delay
+    ``succeed``/``defer`` wake-ups, timed entries due at exactly ``now``
+    (several timeouts expiring together) and one interrupted sleeper."""
+    rng = random.Random(seed)
+    plans = [[(rng.randrange(5), rng.choice((0, 1, 1, 2, 3)))
+              for _ in range(40)] for _ in range(6)]
+    sleep_for = rng.randrange(20, 40)
+    wake_at = rng.randrange(5, 15)
+
+    def worker(tag, plan):
+        for i, (kind, units) in enumerate(plan):
+            if kind == 0:
+                yield env.timeout(units * UNIT, value=i)
+            elif kind == 1:
+                ev = env.event()
+                ev.succeed(i)
+                yield ev
+            elif kind == 2:
+                env.defer(lambda _ev, i=i: log.append((env.now, tag, i, "defer")))
+                yield None
+            elif kind == 3:
+                env.at(env.now + units * UNIT,
+                       lambda _ev, i=i: log.append((env.now, tag, i, "at")))
+                yield env.timeout(units * UNIT)
+            else:
+                yield env.timeout(0.0)
+            log.append((env.now, tag, i))
+
+    def sleeper():
+        try:
+            yield env.timeout(sleep_for * UNIT)
+            log.append((env.now, "sleeper", "timeout"))
+        except Interrupt as exc:
+            log.append((env.now, "sleeper", exc.cause))
+        yield env.timeout(UNIT)
+        log.append((env.now, "sleeper", "done"))
+
+    for tag, plan in enumerate(plans):
+        env.process(worker(tag, plan))
+    victim = env.process(sleeper())
+
+    def interrupter():
+        yield env.timeout(wake_at * UNIT)
+        victim.interrupt(cause="wake")
+
+    env.process(interrupter())
+
+
+def _dispatch_log(seed, how):
+    """Dispatch the seeded schedule one of three ways.  Returns the log
+    and, for ``"until"``, how long the log was at each cut point."""
+    env = Environment()
+    log = []
+    cuts = []
+    _seeded_schedule(env, seed, log)
+    if how == "run":
+        env.run()
+    elif how == "until":
+        rng = random.Random(seed ^ 0x5EED)
+        for k in sorted(rng.randrange(0, 120) for _ in range(25)):
+            env.run(until=k * UNIT)
+            assert env.now == k * UNIT
+            cuts.append((env.now, len(log)))
+        env.run()
+    else:
+        while True:
+            try:
+                env.step()
+            except SimulationError:
+                break
+    return log, cuts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_step_run_and_run_until_agree(seed):
+    """One seeded schedule dispatched by ``run()``, by a chain of
+    ``run(until=t_k)`` at random cut points, and by a ``step()`` loop
+    produces the same dispatch log all three ways; each ``run(until=t)``
+    stops with exactly the events due at or before ``t`` dispatched."""
+    ran, _ = _dispatch_log(seed, "run")
+    assert len(ran) > 200
+    assert any(entry[1:] == ("sleeper", "wake") for entry in ran)
+    until, cuts = _dispatch_log(seed, "until")
+    assert until == ran
+    for t, n in cuts:
+        assert n == sum(1 for entry in ran if entry[0] <= t)
+    assert _dispatch_log(seed, "step")[0] == ran
+
+
+def _golden_keys():
+    return sorted(json.loads(GOLDEN_TRACES.read_text()))
+
+
+@pytest.mark.parametrize("key", _golden_keys())
+def test_fuzz_trace_matches_golden(key):
+    """Every fuzz scenario must replay byte-identically to the trace an
+    earlier heap-keyed engine produced.
+
+    This is the strongest statement of the tie-break invariant: the full
+    stack — NICs, transports, NPF pipeline, backup rings — dispatches in
+    exactly the captured order, seed for seed.
+    """
+    from repro.fuzz.executor import run_scenario
+    from repro.fuzz.generate import generate_scenario
+
+    golden = json.loads(GOLDEN_TRACES.read_text())
+    profile, index = key.rsplit(":", 1)
+    sc = generate_scenario(int(index), 0xCAFEF00D, profile=profile)
+    tr = run_scenario(sc)
+    assert tr.crashed is None
+    assert tr.compared() == golden[key]

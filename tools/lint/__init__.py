@@ -33,10 +33,10 @@ RL007     ``cell_*`` function in an experiment module reads module-level
           so hidden state diverges between workers and poisons the
           content-addressed cache.
 RL008     direct ``heapq`` operation on state reached through an
-          ``Environment`` outside ``sim/``: the scheduler is a calendar
-          queue (no heap exists), so a heap push cannot preserve dispatch
-          order — schedule via ``env.timeout``/``after``/``defer``/
-          ``schedule_callback``.
+          ``Environment`` outside ``sim/``: a push that bypasses the
+          Environment skips its tie counter, so equal-time events no
+          longer fire in FIFO order — schedule via ``env.timeout``/
+          ``after``/``defer``/``schedule_callback``.
 ========  ==================================================================
 
 Suppression

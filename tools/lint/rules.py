@@ -30,7 +30,8 @@ RULE_DOCS = {
     "RL007": "experiment cell function touches module-level mutable state "
              "(cells must be pure: config in, fragment out)",
     "RL008": "direct heapq operation on Environment scheduler state "
-             "outside sim/ (use env.timeout/after/defer/schedule_callback)",
+             "outside sim/ skips the FIFO tie counter "
+             "(use env.timeout/after/defer/schedule_callback)",
     "RL013": "blocking socket I/O in experiments/dispatch/ with no socket "
              "timeout armed in the same function (a wedged peer would hang "
              "the dispatcher forever)",
@@ -380,13 +381,14 @@ def _mentions_env(node: ast.expr) -> bool:
 def _check_scheduler_heap(path: str, tree: ast.Module) -> Iterator[RawFinding]:
     """RL008: ``heapq.heappush(env...something, ...)`` outside ``sim/``.
 
-    The calendar-queue engine does not keep a heap at all — events live
-    in time buckets with a FIFO tie-break — so a direct heap operation
-    on anything reached through an Environment cannot preserve the
-    dispatch order the determinism gates ride on.  All scheduling goes
-    through the Environment API (``timeout``/``after``/``defer``/
-    ``schedule_callback``); ``sim/`` itself is exempt (the queue
-    discipline lives there, e.g. ``PriorityStore``'s item heap).
+    The engine's heap holds ``(t, tie, event)`` entries whose ``tie``
+    comes from a per-Environment counter; that counter is what makes
+    equal-time events fire in FIFO order.  A direct heap operation on
+    anything reached through an Environment skips the counter and
+    breaks the dispatch order the determinism gates ride on.  All
+    scheduling goes through the Environment API (``timeout``/``after``/
+    ``defer``/``schedule_callback``); ``sim/`` itself is exempt (the
+    queue discipline lives there, e.g. ``PriorityStore``'s item heap).
     """
     rel = _repro_parts(path)
     if rel is None or (rel and rel[0] == "sim"):
@@ -411,9 +413,9 @@ def _check_scheduler_heap(path: str, tree: ast.Module) -> Iterator[RawFinding]:
         if op is not None and _mentions_env(node.args[0]):
             yield RawFinding(
                 node.lineno, node.col_offset, "RL008",
-                f"heapq.{op}() on Environment state outside sim/: the "
-                f"scheduler is a calendar queue, not a heap — use "
-                f"env.timeout/after/defer/schedule_callback",
+                f"heapq.{op}() on Environment state outside sim/ skips "
+                f"the scheduler's tie counter, so equal-time events lose "
+                f"FIFO order — use env.timeout/after/defer/schedule_callback",
             )
 
 
