@@ -16,7 +16,8 @@ FUZZ_SEED ?= 3405691582
 ## Lint + bench smoke + fuzz smoke + dispatch smoke + paper-shape
 ## assertions + full test suite.
 ## tests/test_experiments_runner.py includes the parallel-equals-sequential
-## smoke check for the experiment engine; bench-quick fails if a gated
+## check for the experiment engine (--jobs N on spawned dispatch workers,
+## forced on even on small boxes); bench-quick fails if a gated
 ## benchmark regresses below 0.9x of its committed
 ## BENCH_substrate_quick.json throughput.
 test: lint lint-flow bench-quick fuzz-smoke dispatch-smoke rack-smoke paper
@@ -24,7 +25,8 @@ test: lint lint-flow bench-quick fuzz-smoke dispatch-smoke rack-smoke paper
 
 ## The paper-shape assertions under benchmarks/ (who wins, crossovers,
 ## rough factors for Fig. 3/4/7/8/9/10, Tables 3-6 and the ablations).
-## They sit outside the tier-1 testpaths.
+## They sit outside the tier-1 testpaths and read cell results from
+## .repro-cache/, so a warm tree checks them in seconds.
 paper:
 	$(PYTHON) -m pytest benchmarks -x -q
 
@@ -79,8 +81,8 @@ bench-experiments:
 	$(PYTHON) tools/bench_substrate.py --experiments --jobs $(JOBS)
 
 ## The dispatch_overhead gate: in-process vs loopback 1-worker dispatch
-## vs --spawn-workers autospawn, byte-identity enforced, overhead bound
-## 1.3x -> BENCH_experiments.json.
+## vs --jobs 2 (spawned localhost workers), byte-identity enforced,
+## overhead bound 1.3x -> BENCH_experiments.json.
 bench-dispatch:
 	$(PYTHON) tools/bench_substrate.py --dispatch
 
@@ -111,7 +113,8 @@ profile:
 profile-net:
 	$(PYTHON) -m repro.experiments profile --bench link_stream,switch_fanout
 
-## Regenerate every table/figure in parallel (make experiments JOBS=8).
+## Regenerate every table/figure in parallel (make experiments JOBS=8
+## spawns 8 localhost dispatch workers where they can win).
 ## Cell results are cached under .repro-cache/ keyed by config + source
 ## hash; use --no-cache via the CLI to force a full recompute.
 experiments:

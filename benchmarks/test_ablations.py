@@ -1,11 +1,11 @@
 """Ablations of the §4/§5 design choices DESIGN.md calls out."""
 
-from repro.experiments import ablations
 from repro.experiments.base import print_result
+from repro.experiments.runner import run_experiment
 
 
 def test_ablation_batching(once):
-    result = once(ablations.run_batching)
+    result = once(run_experiment, "ablation-batching")
     print_result(result)
     rows = {row["mode"]: row for row in result.rows}
     # Paper: PRI's one-page-per-request makes a cold 4MB message cost
@@ -17,14 +17,14 @@ def test_ablation_batching(once):
 
 
 def test_ablation_firmware_bypass(once):
-    result = once(ablations.run_firmware_bypass)
+    result = once(run_experiment, "ablation-bypass")
     print_result(result)
     rows = {row["bypass"]: row for row in result.rows}
     assert rows["on"]["total_us"] < 0.5 * rows["off"]["total_us"]
 
 
 def test_ablation_concurrent_classes(once):
-    result = once(ablations.run_concurrent_classes)
+    result = once(run_experiment, "ablation-classes")
     print_result(result)
     rows = {row["classes"]: row for row in result.rows}
     # Four classes overlap ~4x vs a single serialized slot.
@@ -32,7 +32,7 @@ def test_ablation_concurrent_classes(once):
 
 
 def test_ablation_bm_size(once):
-    result = once(ablations.run_bm_size_sweep)
+    result = once(run_experiment, "ablation-bm-size")
     print_result(result)
     rows = result.rows
     delivered = [row["delivered"] for row in rows]
@@ -43,7 +43,7 @@ def test_ablation_bm_size(once):
 
 
 def test_ablation_read_rnr_extension(once):
-    result = once(ablations.run_read_rnr_extension)
+    result = once(run_experiment, "ablation-read-rnr")
     print_result(result)
     rows = {row["mode"]: row for row in result.rows}
     standard = rows["rc-standard (rewind)"]
@@ -54,7 +54,7 @@ def test_ablation_read_rnr_extension(once):
 
 
 def test_ablation_pdc_capacity(once):
-    result = once(ablations.run_pdc_capacity_sweep)
+    result = once(run_experiment, "ablation-pdc")
     print_result(result)
     rows = result.rows
     # Small caches: zero hit rate (fine-grained behaviour, §2.2); big

@@ -2,12 +2,14 @@
 
 from repro.experiments import fig10_whatif
 from repro.experiments.base import print_result
+from repro.experiments.runner import run_experiment
 from repro.sim.units import MB
 
 
 def test_fig10_ethernet(once):
-    result = once(fig10_whatif.run_ethernet,
-                  fig10_whatif.DEFAULT_FREQUENCIES, 4 * MB)
+    result = once(run_experiment, "fig10-eth",
+                  frequencies=fig10_whatif.DEFAULT_FREQUENCIES,
+                  total_bytes=4 * MB)
     print_result(result)
     rows = result.rows
 
@@ -25,8 +27,9 @@ def test_fig10_ethernet(once):
 
 
 def test_fig10_infiniband(once):
-    result = once(fig10_whatif.run_infiniband,
-                  fig10_whatif.DEFAULT_FREQUENCIES, 1500)
+    result = once(run_experiment, "fig10-ib",
+                  frequencies=fig10_whatif.DEFAULT_FREQUENCIES,
+                  n_messages=1500)
     print_result(result)
     pct = [row["pct_of_optimum"] for row in result.rows]
 

@@ -1,12 +1,12 @@
 """Figure 3: NPF and invalidation execution breakdown."""
 
-from repro.experiments import fig3_breakdown
 from repro.experiments.base import print_result
+from repro.experiments.runner import run_experiment
 from repro.sim.units import us
 
 
 def test_fig3_npf_breakdown(once):
-    result = once(fig3_breakdown.run, 150)
+    result = once(run_experiment, "fig3", samples=150)
     print_result(result)
     rows = {row["case"]: row for row in result.rows}
 

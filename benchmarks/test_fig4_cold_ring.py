@@ -1,11 +1,11 @@
 """Figure 4: the cold ring problem at startup and across ring sizes."""
 
-from repro.experiments import fig4_cold_ring
 from repro.experiments.base import print_result
+from repro.experiments.runner import run_experiment
 
 
 def test_fig4a_startup_throughput(once):
-    result = once(fig4_cold_ring.run_startup, 3.0)
+    result = once(run_experiment, "fig4a", duration=3.0)
     print_result(result)
     first = result.rows[0]
     steady = result.rows[-1]
@@ -19,7 +19,8 @@ def test_fig4a_startup_throughput(once):
 
 
 def test_fig4b_ring_size_sweep(once):
-    result = once(fig4_cold_ring.run_ring_sweep, (16, 64, 256, 1024), 1500)
+    result = once(run_experiment, "fig4b",
+                  ring_sizes=(16, 64, 256, 1024), ops=1500)
     print_result(result)
     by_ring = {row["ring_size"]: row for row in result.rows}
 

@@ -1,11 +1,11 @@
 """Figure 7: dynamic working sets — NPF adapts, static pinning cannot."""
 
-from repro.experiments import fig7_dynamic
 from repro.experiments.base import print_result
+from repro.experiments.runner import run_experiment
 
 
 def test_fig7_dynamic_working_set(once):
-    result = once(fig7_dynamic.run, 6.0, 2.0)
+    result = once(run_experiment, "fig7", duration=6.0, switch_at=2.0)
     print_result(result)
     tail = result.rows[-3:]  # steady state after the switch
 

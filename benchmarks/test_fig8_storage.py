@@ -1,11 +1,12 @@
 """Figure 8: storage bandwidth and resident memory, NPF vs pinned."""
 
-from repro.experiments import fig8_storage
 from repro.experiments.base import print_result
+from repro.experiments.runner import run_experiment
 
 
 def test_fig8a_bandwidth_vs_memory(once):
-    result = once(fig8_storage.run_bandwidth, (4, 5, 6, 7, 8), 400)
+    result = once(run_experiment, "fig8a",
+                  memory_points_gb=(4, 5, 6, 7, 8), ios=400)
     print_result(result)
     rows = {row["memory_gb"]: row for row in result.rows}
 
@@ -23,7 +24,8 @@ def test_fig8a_bandwidth_vs_memory(once):
 
 
 def test_fig8b_resident_memory_vs_sessions(once):
-    result = once(fig8_storage.run_resident_memory, (1, 2, 4, 8, 16))
+    result = once(run_experiment, "fig8b",
+                  session_counts=(1, 2, 4, 8, 16))
     print_result(result)
     rows = result.rows
 

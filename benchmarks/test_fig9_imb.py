@@ -1,11 +1,11 @@
 """Figure 9: IMB collectives — copy vs pin-down cache vs NPF."""
 
-from repro.experiments import fig9_imb
 from repro.experiments.base import print_result
+from repro.experiments.runner import run_experiment
 
 
 def test_fig9_imb(once):
-    result = once(fig9_imb.run, 400, 4)
+    result = once(run_experiment, "fig9", iterations=400, n_ranks=4)
     print_result(result)
 
     sendrecv = [r for r in result.rows if r["benchmark"] == "sendrecv"]

@@ -1,11 +1,11 @@
 """Section 6.3: programming-complexity accounting."""
 
-from repro.experiments import sec63_loc
 from repro.experiments.base import print_result
+from repro.experiments.runner import run_experiment
 
 
 def test_sec63_loc(once):
-    result = once(sec63_loc.run)
+    result = once(run_experiment, "sec63")
     print_result(result)
     rows = {row["component"]: row for row in result.rows}
 

@@ -13,7 +13,7 @@ same paths under continuous measurement:
 
 from repro.core.costs import NpfBreakdown
 from repro.core.npf import NpfEvent, NpfKind, NpfLog, NpfSide
-from repro.experiments import fig3_breakdown
+from repro.experiments.runner import run_experiment
 from repro.iommu import Iommu
 from repro.mem import Memory
 from repro.sim import Environment
@@ -144,6 +144,6 @@ def test_e2e_fig3_small(benchmark):
     """End-to-end Figure 3 run — integration cost of all layers together."""
 
     def run():
-        return fig3_breakdown.run(samples=50)
+        return run_experiment("fig3", samples=50, jobs=1, cache=False)
 
     assert benchmark(run) is not None

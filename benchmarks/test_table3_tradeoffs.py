@@ -1,11 +1,11 @@
 """Table 3: the pinning-strategy trade-off matrix, measured."""
 
-from repro.experiments import table3_tradeoffs
 from repro.experiments.base import print_result
+from repro.experiments.runner import run_experiment
 
 
 def test_table3_tradeoffs(once):
-    result = once(table3_tradeoffs.run)
+    result = once(run_experiment, "table3")
     print_result(result)
     rows = {row["strategy"]: row for row in result.rows}
 

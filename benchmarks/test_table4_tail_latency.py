@@ -1,11 +1,11 @@
 """Table 4: tail latency of NPFs."""
 
-from repro.experiments import table4_tail
 from repro.experiments.base import print_result
+from repro.experiments.runner import run_experiment
 
 
 def test_table4_tail_latency(once):
-    result = once(table4_tail.run, 1500)
+    result = once(run_experiment, "table4", samples=1500)
     print_result(result)
     rows = {row["message"]: row for row in result.rows}
 

@@ -1,11 +1,11 @@
 """Table 5: memory overcommitment with VM memcached instances."""
 
-from repro.experiments import table5_overcommit
 from repro.experiments.base import print_result
+from repro.experiments.runner import run_experiment
 
 
 def test_table5_overcommit(once):
-    result = once(table5_overcommit.run, 4, 1500)
+    result = once(run_experiment, "table5", max_instances=4, ops_per_vm=1500)
     print_result(result)
     rows = {row["instances"]: row for row in result.rows}
 

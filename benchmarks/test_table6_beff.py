@@ -1,11 +1,11 @@
 """Table 6: beff effective communication bandwidth."""
 
-from repro.experiments import table6_beff
 from repro.experiments.base import print_result
+from repro.experiments.runner import run_experiment
 
 
 def test_table6_beff(once):
-    result = once(table6_beff.run, 4, 100)
+    result = once(run_experiment, "table6", n_ranks=4, iterations=100)
     print_result(result)
     rows = {row["mode"]: row for row in result.rows}
 

@@ -6,37 +6,33 @@ Usage::
     python -m repro.experiments run fig3 table4 ...
     python -m repro.experiments run all --jobs 8
     python -m repro.experiments run all --workers box1:9001,box2:9001
-    python -m repro.experiments run all --spawn-workers 4
     python -m repro.experiments run all --json results.json
-    python -m repro.experiments profile [names...] [--jobs N]
+    python -m repro.experiments profile [names...]
 
 Each experiment prints the paper-style table it reproduces.  ``run``
-fans the experiments' sweep cells across a process pool (``--jobs``,
-default: all cores) — or across dispatch workers on other machines
-(``--workers host:port,...``, each a ``python -m
-repro.experiments.serve`` process on the same checkout; or
-``--spawn-workers N`` localhost autospawn) — and caches cell results
-under ``.repro-cache/`` keyed by config + source hash (``--no-cache``
-forces recompute); the tables land on stdout — byte-identical whatever
-``--jobs`` or the worker fleet is — while timing, cache accounting and
-the effective execution mode go to stderr.  ``profile`` runs the
-substrate micro-benchmarks (or named experiments) under cProfile and
-prints the top functions by cumulative time.
+executes the experiments' sweep cells in-process, or on dispatch
+workers: ``--jobs N`` spawns N localhost workers for the run (only
+where they can win — more than two usable cores and enough pending
+cells; otherwise the cells run in-process and a note says so), and
+``--workers host:port,...`` uses already-running ``python -m
+repro.experiments.serve`` processes on the same checkout instead.
+Cell results are cached under ``.repro-cache/`` keyed by config +
+source hash (``--no-cache`` forces recompute); the tables land on
+stdout — byte-identical whatever ``--jobs`` or the worker fleet is —
+while timing, cache accounting and the effective execution mode go to
+stderr.  ``profile`` runs the substrate micro-benchmarks (or named
+experiments, in-process) under cProfile and prints the top functions
+by cumulative time.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List
+from typing import List
 
 from .base import print_result, results_to_json
-from .runner import SPECS, default_jobs, run_many
-
-#: Back-compat map of experiment name -> sequential ``run`` facade.
-REGISTRY: Dict[str, Callable] = {
-    name: spec.run for name, spec in SPECS.items()
-}
+from .runner import SPECS, run_many
 
 
 def _import_bench_substrate():
@@ -58,8 +54,7 @@ def _import_bench_substrate():
     return bench_substrate
 
 
-def _profile(names: List[str], top: int, jobs: int | None,
-             bench: str | None = None) -> int:
+def _profile(names: List[str], top: int, bench: str | None = None) -> int:
     """Run the substrate micro-benchmarks (or experiments) under cProfile."""
     import cProfile
     import pstats
@@ -81,17 +76,15 @@ def _profile(names: List[str], top: int, jobs: int | None,
 
         label = f"substrate benchmarks (full scale): {', '.join(wanted)}"
     elif names:
-        unknown = [n for n in names if n not in REGISTRY]
+        unknown = [n for n in names if n not in SPECS]
         if unknown:
             print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
             return 2
 
         def workload():
-            run_many(names, jobs=jobs, cache=False)
+            run_many(names, jobs=1, cache=False)
 
         label = ", ".join(names)
-        if jobs and jobs != 1:
-            label += f" (jobs={jobs})"
     else:
         # Default: the substrate micro-benchmark suite at reduced scale —
         # the hot paths every experiment sits on.
@@ -113,6 +106,13 @@ def _profile(names: List[str], top: int, jobs: int | None,
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -123,29 +123,20 @@ def main(argv: List[str] | None = None) -> int:
     run_parser = sub.add_parser("run", help="run one or more experiments")
     run_parser.add_argument("names", nargs="+",
                             help="experiment names, or 'all'")
-    run_parser.add_argument("--jobs", type=int, default=None,
-                            help="worker processes for the cell sweep "
-                                 "(default: all cores; 1 = in-process)")
+    fleet = run_parser.add_mutually_exclusive_group()
+    fleet.add_argument("--jobs", type=_positive_int, default=None,
+                       help="localhost dispatch workers to spawn for the "
+                            "cell sweep (default: all cores; 1 = "
+                            "in-process)")
+    fleet.add_argument("--workers", metavar="HOST:PORT,...", default=None,
+                       help="dispatch cells to these cell servers "
+                            "(python -m repro.experiments.serve); "
+                            "comma-separated host:port endpoints")
     run_parser.add_argument("--no-cache", action="store_true",
                             help="recompute every cell, ignoring and not "
                                  "writing .repro-cache/")
     run_parser.add_argument("--json", metavar="PATH", default=None,
                             help="also dump the results as JSON to PATH")
-    run_parser.add_argument("--workers", metavar="HOST:PORT,...",
-                            default=None,
-                            help="dispatch cells to these cell servers "
-                                 "(python -m repro.experiments.serve); "
-                                 "comma-separated host:port endpoints")
-    run_parser.add_argument("--spawn-workers", type=int, default=0,
-                            metavar="N",
-                            help="autospawn N localhost cell servers for "
-                                 "this run (honest fallback: stays "
-                                 "in-process when they cannot win)")
-    run_parser.add_argument("--cell-timeout", type=float, default=None,
-                            metavar="S",
-                            help="per-cell wait bound for pooled/dispatched "
-                                 "execution (default 600; timed-out cells "
-                                 "are reassigned or retried in-process)")
     profile_parser = sub.add_parser(
         "profile",
         help="profile the substrate micro-benchmarks (or experiments) "
@@ -156,9 +147,6 @@ def main(argv: List[str] | None = None) -> int:
                                      "micro-benchmarks)")
     profile_parser.add_argument("--top", type=int, default=20,
                                 help="how many functions to print (default 20)")
-    profile_parser.add_argument("--jobs", type=int, default=None,
-                                help="worker processes when profiling "
-                                     "experiments (default: all cores)")
     profile_parser.add_argument("--bench", default=None,
                                 help="comma-separated substrate benchmark "
                                      "names to profile at full scale "
@@ -166,21 +154,21 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        for name in REGISTRY:
+        for name in SPECS:
             print(name)
         return 0
 
     if args.command == "profile":
-        return _profile(args.names, args.top, args.jobs, bench=args.bench)
+        return _profile(args.names, args.top, bench=args.bench)
 
     # ``all`` means the default set; opt-out specs (rack-incast) run by
     # explicit name only, keeping the run-all transcript byte-stable.
     names = ([n for n, s in SPECS.items() if s.default]
              if args.names == ["all"] else args.names)
-    unknown = [n for n in names if n not in REGISTRY]
+    unknown = [n for n in names if n not in SPECS]
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(REGISTRY)}", file=sys.stderr)
+        print(f"available: {', '.join(SPECS)}", file=sys.stderr)
         return 2
     if args.workers:
         from .dispatch import parse_endpoints
@@ -192,16 +180,14 @@ def main(argv: List[str] | None = None) -> int:
             return 2
 
     report = run_many(names, jobs=args.jobs, cache=not args.no_cache,
-                      workers=args.workers,
-                      spawn_workers=args.spawn_workers,
-                      cell_timeout=args.cell_timeout)
+                      workers=args.workers)
     for result in report.results.values():
         print_result(result)
         print()
     stats = report.stats
     print(f"{len(report.results)} experiment(s), {stats.total} cells "
           f"({stats.hits} cached, {stats.misses} computed) "
-          f"in {report.wall_s:.1f}s with jobs={report.jobs or default_jobs()} "
+          f"in {report.wall_s:.1f}s with jobs={report.jobs} "
           f"[{report.mode}]",
           file=sys.stderr)
     for note in report.notes:

@@ -28,15 +28,9 @@ from ..mem.memory import Memory
 from ..sim.engine import Environment
 from ..sim.units import MB, PAGE_SIZE, ms, us
 from .base import ExperimentResult
-from .cells import Cell, cell, run_cells
+from .cells import Cell, cell
 
 __all__ = [
-    "run_batching",
-    "run_firmware_bypass",
-    "run_concurrent_classes",
-    "run_bm_size_sweep",
-    "run_pdc_capacity_sweep",
-    "run_read_rnr_extension",
     "batching_cells", "merge_batching", "cell_batching",
     "firmware_bypass_cells", "merge_firmware_bypass", "cell_firmware_bypass",
     "concurrent_classes_cells", "merge_concurrent_classes",
@@ -77,6 +71,7 @@ def cell_batching(batch: bool) -> dict:
 
 
 def batching_cells() -> List[Cell]:
+    """Cold 4MB send: batched pre-fault vs one page per PRI request."""
     return [cell("ablation-batching", i, cell_batching, batch=batch)
             for i, batch in enumerate((True, False))]
 
@@ -101,11 +96,6 @@ def merge_batching(sweep: Sequence[Cell],
     return result
 
 
-def run_batching() -> ExperimentResult:
-    """Cold 4MB send: batched pre-fault vs one page per PRI request."""
-    return run_cells(batching_cells(), merge_batching)
-
-
 # -- firmware bypass ---------------------------------------------------------
 
 def cell_firmware_bypass(bypass: bool) -> float:
@@ -124,6 +114,7 @@ def cell_firmware_bypass(bypass: bool) -> float:
 
 
 def firmware_bypass_cells() -> List[Cell]:
+    """Same-class racing faults with and without the bypass bitmap."""
     return [cell("ablation-bypass", i, cell_firmware_bypass, bypass=bypass)
             for i, bypass in enumerate((True, False))]
 
@@ -144,11 +135,6 @@ def merge_firmware_bypass(sweep: Sequence[Cell],
         "pay only the fast resume path"
     )
     return result
-
-
-def run_firmware_bypass() -> ExperimentResult:
-    """Same-class racing faults with and without the bypass bitmap."""
-    return run_cells(firmware_bypass_cells(), merge_firmware_bypass)
 
 
 # -- concurrent fault classes ------------------------------------------------
@@ -173,6 +159,7 @@ def cell_concurrent_classes(classes: bool) -> float:
 
 
 def concurrent_classes_cells() -> List[Cell]:
+    """Send+receive faults overlapping (4 classes) vs one global slot."""
     return [cell("ablation-classes", i, cell_concurrent_classes,
                  classes=classes)
             for i, classes in enumerate((True, False))]
@@ -196,11 +183,6 @@ def merge_concurrent_classes(sweep: Sequence[Cell],
         "concurrently (initiator/responder x read/write)"
     )
     return result
-
-
-def run_concurrent_classes() -> ExperimentResult:
-    """Send+receive faults overlapping (4 classes) vs one global slot."""
-    return run_cells(concurrent_classes_cells(), merge_concurrent_classes)
 
 
 # -- backup-ring bitmap size -------------------------------------------------
@@ -236,6 +218,7 @@ def cell_bm_size(bm_size: int) -> dict:
 
 
 def bm_size_cells(bm_sizes=(8, 32, 128, 512)) -> List[Cell]:
+    """Backup-ring bitmap size vs packets lost during a fault burst."""
     return [cell("ablation-bm-size", i, cell_bm_size, bm_size=bm_size)
             for i, bm_size in enumerate(bm_sizes)]
 
@@ -257,11 +240,6 @@ def merge_bm_size(sweep: Sequence[Cell],
         "per IOuser; small bitmaps drop bursts that larger ones absorb"
     )
     return result
-
-
-def run_bm_size_sweep(bm_sizes=(8, 32, 128, 512)) -> ExperimentResult:
-    """Backup-ring bitmap size vs packets lost during a fault burst."""
-    return run_cells(bm_size_cells(bm_sizes=bm_sizes), merge_bm_size)
 
 
 # -- RC read RNR extension ---------------------------------------------------
@@ -295,6 +273,12 @@ def cell_read_rnr(extension: bool, n_reads: int) -> dict:
 
 
 def read_rnr_cells(n_reads: int = 8) -> List[Cell]:
+    """§4's recommendation: extend RC with RNR flow control for reads.
+
+    Compares faulting RDMA reads under the standard rewind-only recovery
+    against the proposed extension where the initiator can RNR-NACK the
+    responder.
+    """
     return [cell("ablation-read-rnr", i, cell_read_rnr, extension=extension,
                  n_reads=n_reads)
             for i, extension in enumerate((False, True))]
@@ -321,16 +305,6 @@ def merge_read_rnr(sweep: Sequence[Cell],
     return result
 
 
-def run_read_rnr_extension(n_reads: int = 8) -> ExperimentResult:
-    """§4's recommendation: extend RC with RNR flow control for reads.
-
-    Compares faulting RDMA reads under the standard rewind-only recovery
-    against the proposed extension where the initiator can RNR-NACK the
-    responder.
-    """
-    return run_cells(read_rnr_cells(n_reads=n_reads), merge_read_rnr)
-
-
 # -- pin-down cache capacity -------------------------------------------------
 
 def cell_pdc_capacity(capacity_mb: int) -> dict:
@@ -352,6 +326,7 @@ def cell_pdc_capacity(capacity_mb: int) -> dict:
 
 
 def pdc_capacity_cells(capacities_mb=(1, 4, 16, 64)) -> List[Cell]:
+    """Pin-down cache capacity: hit rate across a 16MB buffer working set."""
     return [cell("ablation-pdc", i, cell_pdc_capacity,
                  capacity_mb=capacity_mb)
             for i, capacity_mb in enumerate(capacities_mb)]
@@ -372,9 +347,3 @@ def merge_pdc_capacity(sweep: Sequence[Cell],
         "(every access re-registers); big ones like static pinning"
     )
     return result
-
-
-def run_pdc_capacity_sweep(capacities_mb=(1, 4, 16, 64)) -> ExperimentResult:
-    """Pin-down cache capacity: hit rate across a 16MB buffer working set."""
-    return run_cells(pdc_capacity_cells(capacities_mb=capacities_mb),
-                     merge_pdc_capacity)

@@ -1,9 +1,10 @@
 """Common experiment scaffolding.
 
-Every experiment module exposes a ``run(...)`` returning an
-:class:`ExperimentResult`: the experiment id (paper table/figure), the
-scaling applied relative to the paper's testbed, and rows/series shaped
-like the paper's presentation.  ``print_result`` renders them the way
+Every experiment module's ``merge`` folds its sweep cells into an
+:class:`ExperimentResult` (``runner.run_experiment(name)`` runs the
+whole sweep): the experiment id (paper table/figure), the scaling
+applied relative to the paper's testbed, and rows/series shaped like
+the paper's presentation.  ``print_result`` renders them the way
 the paper's tables read, so benchmark logs double as the
 EXPERIMENTS.md evidence.
 """

@@ -8,15 +8,15 @@ small picklable fragment (a row dict, a series, a scalar).  A
 to call (by dotted name, so it pickles across processes) plus its
 keyword configuration, frozen into a hashable tuple.
 
-Three properties make cells the right currency for the parallel
-runner (:mod:`repro.experiments.runner`):
+Three properties make cells the right currency for the runner
+(:mod:`repro.experiments.runner`):
 
 * **pure** — a cell reads nothing but its config (lint rule RL007
   enforces this statically for every ``cell_*`` function), so cells
   can run in any order, in any process;
 * **picklable** — the description is strings/ints/floats/tuples and
-  the fragment is plain data, so cells cross a ``multiprocessing``
-  pool unchanged;
+  the fragment is plain data, so cells travel to dispatch workers
+  (:mod:`repro.experiments.dispatch`) unchanged;
 * **content-addressed** — :func:`cell_fingerprint` hashes the config
   together with a fingerprint of the ``repro`` source tree, giving the
   on-disk result cache a key that invalidates itself whenever either
@@ -25,9 +25,9 @@ runner (:mod:`repro.experiments.runner`):
 Experiment modules expose ``cells(**kwargs)`` builders returning the
 canonical cell order and ``merge(cells, fragments)`` functions folding
 fragments back into an :class:`~repro.experiments.base.ExperimentResult`.
-The sequential ``run()`` facades are thin wrappers over the same two
-(:func:`run_cells`), so ``--jobs 1`` and ``--jobs N`` execute byte-for-
-byte identical per-cell code and merge in the same order.
+The runner pairs the two (``run_experiment(name, **sizes)``), so every
+caller — ``--jobs 1``, ``--jobs N``, tests and benchmarks — executes
+byte-for-byte identical per-cell code and merges in the same order.
 """
 
 from __future__ import annotations
@@ -36,14 +36,13 @@ import hashlib
 import importlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 __all__ = [
     "Cell",
     "cell",
     "resolve",
     "execute",
-    "run_cells",
     "cell_fingerprint",
     "source_fingerprint",
 ]
@@ -73,7 +72,7 @@ def cell(experiment: str, index: int, fn: Callable, **config: Any) -> Cell:
 
     ``config`` values must be picklable and carry a stable ``repr``
     (ints, floats, strings, bools, None, tuples thereof) — they feed
-    both the pool and the content hash.
+    both the dispatch wire format and the content hash.
     """
     ref = f"{fn.__module__}:{fn.__qualname__}"
     return Cell(experiment, index, ref, tuple(sorted(config.items())))
@@ -91,18 +90,11 @@ def resolve(spec: Cell) -> Callable:
 def execute(spec: Cell, **extra: Any) -> Any:
     """Run one cell in this process and return its fragment.
 
-    ``extra`` lets sequential facades thread non-picklable side
-    channels (e.g. ``logs=`` collectors) into the very same functions
-    the pool runs without them.
+    ``extra`` lets in-process callers thread non-picklable side
+    channels (e.g. fig3's ``logs=`` collectors) into the very same
+    functions the runner calls without them.
     """
     return resolve(spec)(**spec.kwargs(), **extra)
-
-
-def run_cells(cells: Sequence[Cell],
-              merge: Callable[[Sequence[Cell], List[Any]], Any],
-              **extra: Any) -> Any:
-    """The sequential facade: execute in canonical order, then merge."""
-    return merge(cells, [execute(c, **extra) for c in cells])
 
 
 # -- content addressing ------------------------------------------------------

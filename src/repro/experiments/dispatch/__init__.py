@@ -16,8 +16,9 @@ stdlib-only:
   victim when their own runs dry, reassign the in-flight cells of a
   dead or timed-out worker, and degrade to in-process execution when
   the last worker dies;
-* :mod:`.spawn` — localhost worker autospawn for ``--spawn-workers N``
-  and the smoke/bench harnesses.
+* :mod:`.spawn` — localhost worker autospawn: ``run --jobs N`` spawns
+  N workers for the run (when they can win), and the smoke/bench
+  harnesses spawn their own.
 
 Determinism contract: the dispatcher returns fragments keyed by cell
 index and the runner merges them in canonical cell order, so ``run

@@ -8,9 +8,8 @@ chunk from the *head* of its own deque, falls back to the orphan deque
 *tail* of the richest other deque — the classic owner-head/thief-tail
 discipline, so stealing grabs the work its owner would reach last.
 
-Chunks amortize protocol round-trips the same way the fork pool's
-``chunksize`` amortizes pickling: a chunk's frames are pipelined (all
-sent, then all replies read), and the chunk size shrinks as the pool
+Chunks amortize protocol round-trips: a chunk's frames are pipelined
+(all sent, then all replies read), and the chunk size shrinks as the pool
 drains so the sweep's tail stays balanced instead of parked on one
 slow worker.
 
@@ -279,7 +278,7 @@ def dispatch_cells(jobs: Sequence[Job],
     """Execute ``jobs`` across ``endpoints``; returns (index->fragment).
 
     Raises :class:`DispatchUnavailable` when no worker survives the
-    handshake (the caller falls back to its pool/in-process path) and
+    handshake (the caller falls back to in-process execution) and
     :class:`CellExecutionError` when a cell deterministically raised.
     Worker deaths mid-run never raise: their jobs are reassigned, and
     if every worker dies the leftovers run locally via

@@ -2,9 +2,10 @@
 
 One frame = a 4-byte big-endian length header followed by a pickled
 ``dict`` payload with a ``"kind"`` key.  Pickle is the right codec
-here: cells and fragments are already required to be picklable for the
-fork pool, and both ends of the connection are the same codebase by
-construction — the handshake refuses anything else.
+here: cells and fragments are plain picklable data by design (see
+:mod:`repro.experiments.cells`), and both ends of the connection are
+the same codebase by construction — the handshake refuses anything
+else.
 
 Handshake (first frame each way on a fresh connection)::
 

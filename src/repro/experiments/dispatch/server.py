@@ -165,27 +165,16 @@ class CellServer:
 
         seq = message.get("seq")
         spec = message.get("cell")
-        sanitize = bool(message.get("sanitize"))
-        previous = os.environ.get("REPRO_SANITIZE")
         try:
-            # The client's sanitize setting rides the message, not this
-            # process's environment: _execute_cell re-reads the env var.
-            if sanitize:
-                os.environ["REPRO_SANITIZE"] = "1"
-            else:
-                os.environ.pop("REPRO_SANITIZE", None)
-            fragment = _execute_cell(spec)
+            # The client's sanitize setting rides the message, never
+            # this process's environment.
+            fragment = _execute_cell(spec, bool(message.get("sanitize")))
         except Exception:
             send_frame(conn, {"kind": "error", "seq": seq,
                               "label": spec.label() if spec else "?",
                               "traceback": traceback.format_exc()},
                        self.session_timeout)
             return
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_SANITIZE", None)
-            else:
-                os.environ["REPRO_SANITIZE"] = previous
         self.cells_served += 1
         send_frame(conn, {"kind": "result", "seq": seq,
                           "fragment": fragment},

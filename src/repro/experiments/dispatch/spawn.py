@@ -1,4 +1,4 @@
-"""Localhost worker autospawn (``--spawn-workers N``).
+"""Localhost worker autospawn (``run --jobs N`` spawns N workers).
 
 Each worker is a fresh ``python -m repro.experiments.serve --port 0``
 subprocess of the *same* interpreter and source tree as the caller, so
@@ -59,35 +59,45 @@ def _read_port(proc: subprocess.Popen, timeout: float) -> int:
     return int(line.split()[1])
 
 
-def spawn_worker(timeout: float = STARTUP_TIMEOUT_S,
-                 ) -> Tuple[subprocess.Popen, Tuple[str, int]]:
-    """Start one localhost worker; returns (process, endpoint)."""
-    proc = subprocess.Popen(
+def _start() -> subprocess.Popen:
+    return subprocess.Popen(
         [sys.executable, "-m", "repro.experiments.serve", "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         env=_worker_env(),
     )
+
+
+def _endpoint(proc: subprocess.Popen, timeout: float) -> Tuple[str, int]:
+    """Wait for ``proc``'s port banner; kill it if none arrives."""
     try:
         port = _read_port(proc, timeout)
     except Exception:
         proc.kill()
         proc.wait()
         raise
-    return proc, ("127.0.0.1", port)
+    return ("127.0.0.1", port)
+
+
+def spawn_worker(timeout: float = STARTUP_TIMEOUT_S,
+                 ) -> Tuple[subprocess.Popen, Tuple[str, int]]:
+    """Start one localhost worker; returns (process, endpoint)."""
+    proc = _start()
+    return proc, _endpoint(proc, timeout)
 
 
 @contextmanager
 def spawned_workers(n: int, timeout: float = STARTUP_TIMEOUT_S,
                     ) -> Iterator[List[Tuple[str, int]]]:
-    """Spawn ``n`` localhost workers; kills them all on exit."""
+    """Spawn ``n`` localhost workers; kills them all on exit.
+
+    All ``n`` start before any banner is awaited, so their interpreter
+    startups overlap instead of adding up.
+    """
     procs: List[subprocess.Popen] = []
-    endpoints: List[Tuple[str, int]] = []
     try:
         for _ in range(n):
-            proc, endpoint = spawn_worker(timeout)
-            procs.append(proc)
-            endpoints.append(endpoint)
-        yield endpoints
+            procs.append(_start())
+        yield [_endpoint(proc, timeout) for proc in procs]
     finally:
         for proc in procs:
             if proc.poll() is None:

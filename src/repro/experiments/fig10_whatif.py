@@ -34,10 +34,10 @@ from ..sim.engine import Environment
 from ..sim.rng import Rng
 from ..sim.units import Gbps, MB
 from .base import ExperimentResult
-from .cells import Cell, cell, run_cells
+from .cells import Cell, cell
 
 __all__ = [
-    "run_ethernet", "run_infiniband", "DEFAULT_FREQUENCIES",
+    "DEFAULT_FREQUENCIES",
     "ethernet_cells", "merge_ethernet", "cell_ethernet",
     "infiniband_cells", "merge_infiniband", "cell_infiniband",
 ]
@@ -111,13 +111,6 @@ def merge_ethernet(sweep: Sequence[Cell],
     return result
 
 
-def run_ethernet(frequencies=DEFAULT_FREQUENCIES, total_bytes: int = 8 * MB,
-                 seed: int = 37) -> ExperimentResult:
-    return run_cells(ethernet_cells(frequencies=frequencies,
-                                    total_bytes=total_bytes, seed=seed),
-                     merge_ethernet)
-
-
 def cell_infiniband(frequency: Optional[float], n_messages: int,
                     seed: int) -> float:
     """IB stream throughput at one frequency (None = no-fault optimum)."""
@@ -162,10 +155,3 @@ def merge_infiniband(sweep: Sequence[Cell],
         "throughput approaches the optimum once faults are sparse"
     )
     return result
-
-
-def run_infiniband(frequencies=DEFAULT_FREQUENCIES, n_messages: int = 2000,
-                   seed: int = 41) -> ExperimentResult:
-    return run_cells(infiniband_cells(frequencies=frequencies,
-                                      n_messages=n_messages, seed=seed),
-                     merge_infiniband)

@@ -21,9 +21,9 @@ from ..sim.rng import Rng
 from ..sim.units import KB, MB, PAGE_SIZE, us
 from ..core.costs import NpfCosts
 from .base import ExperimentResult
-from .cells import Cell, cell, run_cells
+from .cells import Cell, cell
 
-__all__ = ["run", "cells", "merge", "cell_npf", "cell_invalidation"]
+__all__ = ["cells", "merge", "cell_npf", "cell_invalidation"]
 
 
 def _mean(values):
@@ -95,7 +95,13 @@ def cell_invalidation(label: str, premap: bool, samples: int, seed: int,
 
 
 def cells(samples: int = 200, seed: int = 42) -> List[Cell]:
-    """The canonical sweep: two NPF cases, two invalidation cases."""
+    """The canonical sweep: two NPF cases, two invalidation cases.
+
+    Every cell also takes ``logs=``: a list that collects each phase's
+    :class:`NpfLog` when the cell runs in-process through
+    ``cells.execute(spec, logs=logs)`` (the determinism tests compare
+    full event streams this way).
+    """
     return [
         cell("fig3", 0, cell_npf, label="npf-4KB", size=4 * KB,
              samples=samples, seed=seed),
@@ -128,12 +134,3 @@ def merge(sweep: Sequence[Cell], fragments: List[Any]) -> ExperimentResult:
         "resume_us=updates [sw]"
     )
     return result
-
-
-def run(samples: int = 200, seed: int = 42, logs=None) -> ExperimentResult:
-    """Run the breakdown microbenchmark sequentially.
-
-    ``logs``, when a list, collects each phase's :class:`NpfLog` so
-    callers (the determinism tests) can compare full event streams.
-    """
-    return run_cells(cells(samples=samples, seed=seed), merge, logs=logs)

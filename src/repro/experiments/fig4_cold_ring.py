@@ -27,11 +27,11 @@ from ..sim.engine import Environment
 from ..sim.rng import Rng
 from ..sim.units import KB, MB
 from .base import ExperimentResult
-from .cells import Cell, cell, run_cells
+from .cells import Cell, cell
 from .config import TIME_SCALE, scaled_tcp_params
 
 __all__ = [
-    "run_startup", "run_ring_sweep", "MODES",
+    "MODES",
     "startup_cells", "merge_startup", "cell_startup",
     "ring_sweep_cells", "merge_ring_sweep", "cell_ring_point",
 ]
@@ -75,6 +75,11 @@ def cell_startup(mode: str, duration: float, seed: int) -> dict:
 
 
 def startup_cells(duration: float = 3.0, seed: int = 11) -> List[Cell]:
+    """Figure 4(a): throughput vs time during startup (64-entry ring).
+
+    ``duration`` is in scaled seconds (multiply by TIME_SCALE for the
+    paper's axis).
+    """
     return [
         cell("fig4a", i, cell_startup, mode=mode, duration=duration,
              seed=seed)
@@ -110,16 +115,6 @@ def merge_startup(sweep: Sequence[Cell],
     return result
 
 
-def run_startup(duration: float = 3.0, seed: int = 11) -> ExperimentResult:
-    """Figure 4(a): throughput vs time during startup (64-entry ring).
-
-    ``duration`` is in scaled seconds (multiply by TIME_SCALE for the
-    paper's axis).
-    """
-    return run_cells(startup_cells(duration=duration, seed=seed),
-                     merge_startup)
-
-
 def cell_ring_point(mode: str, ring_size: int, ops: int, seed: int,
                     max_total_timeouts=None) -> dict:
     """Time for ``ops`` operations at one (mode, ring size) point."""
@@ -139,6 +134,7 @@ def cell_ring_point(mode: str, ring_size: int, ops: int, seed: int,
 
 def ring_sweep_cells(ring_sizes=(16, 64, 256, 1024), ops: int = 1500,
                      seed: int = 13) -> List[Cell]:
+    """Figure 4(b): time for ``ops`` operations vs receive-ring size."""
     out: List[Cell] = []
     for ring_size in ring_sizes:
         for mode in MODES:
@@ -174,10 +170,3 @@ def merge_ring_sweep(sweep: Sequence[Cell],
         "(>=128 entries); backup's warm-up cost grows slowly; pin is flat"
     )
     return result
-
-
-def run_ring_sweep(ring_sizes=(16, 64, 256, 1024),
-                   ops: int = 1500, seed: int = 13) -> ExperimentResult:
-    """Figure 4(b): time for ``ops`` operations vs receive-ring size."""
-    return run_cells(ring_sweep_cells(ring_sizes=ring_sizes, ops=ops,
-                                      seed=seed), merge_ring_sweep)

@@ -27,10 +27,10 @@ from ..sim.engine import Environment
 from ..sim.rng import Rng
 from ..sim.units import Gbps, KB, MB
 from .base import ExperimentResult
-from .cells import Cell, cell, run_cells
+from .cells import Cell, cell
 from .config import scaled_tcp_params
 
-__all__ = ["run", "cells", "merge", "cell_mode"]
+__all__ = ["cells", "merge", "cell_mode"]
 
 # Scaled from the paper's 100 MB / 900 MB working sets under a 1 GB cap.
 SMALL_KEYS = 400      # ~1.6 MB at 4 KB per item slab
@@ -124,9 +124,3 @@ def merge(sweep: Sequence[Cell], fragments: List[Any]) -> ExperimentResult:
         "with 500MB and suffers; aggregate NPF throughput wins"
     )
     return result
-
-
-def run(duration: float = 6.0, switch_at: float = 2.0,
-        seed: int = 23) -> ExperimentResult:
-    return run_cells(cells(duration=duration, switch_at=switch_at,
-                           seed=seed), merge)

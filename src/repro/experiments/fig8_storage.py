@@ -29,10 +29,9 @@ from ..sim.engine import Environment
 from ..sim.rng import Rng
 from ..sim.units import GB, KB, MB
 from .base import ExperimentResult
-from .cells import Cell, cell, run_cells
+from .cells import Cell, cell
 
 __all__ = [
-    "run_bandwidth", "run_resident_memory",
     "bandwidth_cells", "merge_bandwidth", "cell_bandwidth",
     "resident_cells", "merge_resident", "cell_resident",
 ]
@@ -82,6 +81,7 @@ def cell_bandwidth(memory_gb: int, pinned: bool, ios: int,
 
 def bandwidth_cells(memory_points_gb=(4, 5, 6, 7, 8), ios: int = 400,
                     seed: int = 29) -> List[Cell]:
+    """Figure 8(a): bandwidth vs memory, NPF vs pinned."""
     out: List[Cell] = []
     for gb in memory_points_gb:
         for pinned in (False, True):
@@ -118,13 +118,6 @@ def merge_bandwidth(sweep: Sequence[Cell],
     return result
 
 
-def run_bandwidth(memory_points_gb=(4, 5, 6, 7, 8), ios: int = 400,
-                  seed: int = 29) -> ExperimentResult:
-    """Figure 8(a): bandwidth vs memory, NPF vs pinned."""
-    return run_cells(bandwidth_cells(memory_points_gb=memory_points_gb,
-                                     ios=ios, seed=seed), merge_bandwidth)
-
-
 def cell_resident(sessions: int, pinned: bool, io_size: int,
                   ios_per_session: int, seed: int) -> float:
     """tgt comm-buffer resident MB at one (sessions, mode, io) point."""
@@ -145,6 +138,7 @@ _RESIDENT_VARIANTS = (
 
 def resident_cells(session_counts=(1, 2, 4, 8, 16, 32),
                    ios_per_session: int = 16, seed: int = 31) -> List[Cell]:
+    """Figure 8(b): tgt comm-buffer resident memory vs #initiators."""
     out: List[Cell] = []
     for sessions in session_counts:
         for _, pinned, io_size in _RESIDENT_VARIANTS:
@@ -178,12 +172,3 @@ def merge_resident(sweep: Sequence[Cell],
         "full 1GB (16MB scaled) regardless"
     )
     return result
-
-
-def run_resident_memory(session_counts=(1, 2, 4, 8, 16, 32),
-                        ios_per_session: int = 16,
-                        seed: int = 31) -> ExperimentResult:
-    """Figure 8(b): tgt comm-buffer resident memory vs #initiators."""
-    return run_cells(resident_cells(session_counts=session_counts,
-                                    ios_per_session=ios_per_session,
-                                    seed=seed), merge_resident)

@@ -17,9 +17,9 @@ from ..apps.mpi import MpiWorld
 from ..sim.engine import Environment
 from ..sim.units import KB, MB
 from .base import ExperimentResult
-from .cells import Cell, cell, run_cells
+from .cells import Cell, cell
 
-__all__ = ["run", "cells", "merge", "cell_runtime"]
+__all__ = ["cells", "merge", "cell_runtime"]
 
 BENCHMARKS = ("sendrecv", "bcast", "alltoall")
 SIZES = (16 * KB, 32 * KB, 64 * KB, 128 * KB)
@@ -84,7 +84,3 @@ def merge(sweep: Sequence[Cell], fragments: List[Any]) -> ExperimentResult:
         "pin-down cache; NPF matches the pin-down cache throughout"
     )
     return result
-
-
-def run(iterations: int = 200, n_ranks: int = 4) -> ExperimentResult:
-    return run_cells(cells(iterations=iterations, n_ranks=n_ranks), merge)

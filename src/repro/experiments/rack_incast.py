@@ -37,9 +37,9 @@ from ..sim.stats import percentile
 from ..sim.units import KB, PAGE_SHIFT, PAGE_SIZE, us
 from ..transport.verbs import Opcode, RecvWr, SendWr
 from .base import ExperimentResult
-from .cells import Cell, cell, run_cells
+from .cells import Cell, cell
 
-__all__ = ["run", "cells", "merge", "cell_incast", "NETS", "MEMS"]
+__all__ = ["cells", "merge", "cell_incast", "NETS", "MEMS"]
 
 NETS = ("pfc", "gbn", "irn")
 MEMS = ("static", "pdc", "npf")
@@ -229,9 +229,3 @@ def merge(sweep: Sequence[Cell], fragments: List[Any]) -> ExperimentResult:
                 f"{regime}: goodput degradation vs lossless PFC — "
                 f"gbn {deg_gbn:.1%}, irn {deg_irn:.1%}")
     return result
-
-
-def run(n_senders: int = 16, loss_pct: float = 1.0, messages: int = 150,
-        size: int = 16 * KB, seed: int = 11) -> ExperimentResult:
-    return run_cells(cells(n_senders=n_senders, loss_pct=loss_pct,
-                           messages=messages, size=size, seed=seed), merge)

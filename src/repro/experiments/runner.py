@@ -1,9 +1,8 @@
-"""Parallel sweep-cell execution engine with a content-addressed cache.
+"""The sweep-cell engine: the one way an experiment's cells run.
 
-The sequential CLI ran 20 registry entries one after another in one
-process, even though every experiment is a sweep of independent cells
-(mode x ring size x capacity points) that each build their own
-``Environment``.  This engine:
+Every experiment is a sweep of independent cells (mode x ring size x
+capacity points) that each build their own ``Environment``.  This
+engine:
 
 * asks each experiment for its cells (``ExperimentSpec.cells``), in
   canonical order;
@@ -12,21 +11,24 @@ process, even though every experiment is a sweep of independent cells
   a fingerprint of the ``src/repro`` tree, so results invalidate
   themselves when the code changes (:func:`repro.experiments.cells
   .cell_fingerprint`);
-* fans the remaining cells out over a ``multiprocessing`` pool
-  (``jobs=1`` stays in-process — no pool, no pickling), then
+* runs the remaining cells in-process, or on dispatch workers
+  (:mod:`repro.experiments.dispatch`) — explicit ``workers``
+  endpoints, or ``jobs`` spawned localhost workers when that can win;
+  then
 * merges fragments back per experiment, in canonical cell order.
 
 Because each cell seeds its own RNGs from its config and the merge
 order is the cell order — never completion order — the output is
-bit-identical whatever ``jobs`` is.  ``REPRO_SANITIZE=1`` installs a
-fresh DMAsan observer around every pooled cell (each worker process
-has no ambient test-session sanitizer of its own) and turns any
+bit-identical whatever ``jobs`` or the worker fleet is.
+``REPRO_SANITIZE=1`` (read once per :func:`execute_cells` call) wraps
+every cell in a fresh DMAsan session, wherever it runs, and turns any
 violation into a hard error.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import pickle
 from collections import OrderedDict
@@ -70,12 +72,11 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registry entry: how to enumerate, run and fold a sweep."""
+    """One registry entry: how to enumerate and fold a sweep."""
 
     name: str
     cells: Callable[..., List[Cell]]
     merge: Callable[[Sequence[Cell], List[Any]], ExperimentResult]
-    run: Callable[..., ExperimentResult]   # sequential facade (API compat)
     #: include in ``run all``?  Opt-out entries (the rack-incast sweep)
     #: run by explicit name only, so the run-all transcript — a golden,
     #: byte-compared artifact — is not changed by adding them.
@@ -84,57 +85,42 @@ class ExperimentSpec:
 
 SPECS: "OrderedDict[str, ExperimentSpec]" = OrderedDict(
     (spec.name, spec) for spec in (
-        ExperimentSpec("fig3", fig3_breakdown.cells,
-                       fig3_breakdown.merge, fig3_breakdown.run),
-        ExperimentSpec("table4", table4_tail.cells,
-                       table4_tail.merge, table4_tail.run),
+        ExperimentSpec("fig3", fig3_breakdown.cells, fig3_breakdown.merge),
+        ExperimentSpec("table4", table4_tail.cells, table4_tail.merge),
         ExperimentSpec("fig4a", fig4_cold_ring.startup_cells,
-                       fig4_cold_ring.merge_startup,
-                       fig4_cold_ring.run_startup),
+                       fig4_cold_ring.merge_startup),
         ExperimentSpec("fig4b", fig4_cold_ring.ring_sweep_cells,
-                       fig4_cold_ring.merge_ring_sweep,
-                       fig4_cold_ring.run_ring_sweep),
+                       fig4_cold_ring.merge_ring_sweep),
         ExperimentSpec("table5", table5_overcommit.cells,
-                       table5_overcommit.merge, table5_overcommit.run),
-        ExperimentSpec("fig7", fig7_dynamic.cells,
-                       fig7_dynamic.merge, fig7_dynamic.run),
+                       table5_overcommit.merge),
+        ExperimentSpec("fig7", fig7_dynamic.cells, fig7_dynamic.merge),
         ExperimentSpec("fig8a", fig8_storage.bandwidth_cells,
-                       fig8_storage.merge_bandwidth,
-                       fig8_storage.run_bandwidth),
+                       fig8_storage.merge_bandwidth),
         ExperimentSpec("fig8b", fig8_storage.resident_cells,
-                       fig8_storage.merge_resident,
-                       fig8_storage.run_resident_memory),
-        ExperimentSpec("fig9", fig9_imb.cells, fig9_imb.merge, fig9_imb.run),
-        ExperimentSpec("table6", table6_beff.cells,
-                       table6_beff.merge, table6_beff.run),
+                       fig8_storage.merge_resident),
+        ExperimentSpec("fig9", fig9_imb.cells, fig9_imb.merge),
+        ExperimentSpec("table6", table6_beff.cells, table6_beff.merge),
         ExperimentSpec("fig10-eth", fig10_whatif.ethernet_cells,
-                       fig10_whatif.merge_ethernet,
-                       fig10_whatif.run_ethernet),
+                       fig10_whatif.merge_ethernet),
         ExperimentSpec("fig10-ib", fig10_whatif.infiniband_cells,
-                       fig10_whatif.merge_infiniband,
-                       fig10_whatif.run_infiniband),
+                       fig10_whatif.merge_infiniband),
         ExperimentSpec("table3", table3_tradeoffs.cells,
-                       table3_tradeoffs.merge, table3_tradeoffs.run),
-        ExperimentSpec("sec63", sec63_loc.cells,
-                       sec63_loc.merge, sec63_loc.run),
+                       table3_tradeoffs.merge),
+        ExperimentSpec("sec63", sec63_loc.cells, sec63_loc.merge),
         ExperimentSpec("ablation-batching", ablations.batching_cells,
-                       ablations.merge_batching, ablations.run_batching),
+                       ablations.merge_batching),
         ExperimentSpec("ablation-bypass", ablations.firmware_bypass_cells,
-                       ablations.merge_firmware_bypass,
-                       ablations.run_firmware_bypass),
+                       ablations.merge_firmware_bypass),
         ExperimentSpec("ablation-classes", ablations.concurrent_classes_cells,
-                       ablations.merge_concurrent_classes,
-                       ablations.run_concurrent_classes),
+                       ablations.merge_concurrent_classes),
         ExperimentSpec("ablation-bm-size", ablations.bm_size_cells,
-                       ablations.merge_bm_size, ablations.run_bm_size_sweep),
+                       ablations.merge_bm_size),
         ExperimentSpec("ablation-pdc", ablations.pdc_capacity_cells,
-                       ablations.merge_pdc_capacity,
-                       ablations.run_pdc_capacity_sweep),
+                       ablations.merge_pdc_capacity),
         ExperimentSpec("ablation-read-rnr", ablations.read_rnr_cells,
-                       ablations.merge_read_rnr,
-                       ablations.run_read_rnr_extension),
-        ExperimentSpec("rack-incast", rack_incast.cells,
-                       rack_incast.merge, rack_incast.run, default=False),
+                       ablations.merge_read_rnr),
+        ExperimentSpec("rack-incast", rack_incast.cells, rack_incast.merge,
+                       default=False),
     )
 )
 
@@ -157,15 +143,14 @@ class CacheStats:
 class RunReport:
     """What one ``run_many`` invocation did, for the CLI summary line.
 
-    ``mode`` is the *effective* execution mode — ``"in-process"``,
-    ``"fork-pool(n)"`` or ``"dispatch(n=K, stolen=S, reassigned=R)"`` —
-    as chosen by :func:`execute_cells` after the fallback heuristics,
-    not the requested ``jobs``/workers.  Benchmarks record it so a pool
-    or dispatch fan-out that would lose to (or silently degrade to)
-    sequential execution can never be reported as parallel silently
-    (see ``tools/bench_substrate.py``).  ``notes`` records fallback and
-    degradation events (dead workers, timed-out pool cells) for the
-    stderr summary.
+    ``mode`` is the *effective* execution mode — ``"in-process"`` or
+    ``"dispatch(n=K, stolen=S, reassigned=R)"`` — as chosen by
+    :func:`execute_cells` after the fallback heuristics, not the
+    requested ``jobs``/workers.  Benchmarks record it so a worker
+    fan-out that would lose to (or silently degrade to) in-process
+    execution can never be reported as parallel silently (see
+    ``tools/bench_substrate.py``).  ``notes`` records fallback and
+    degradation events (dead or wedged workers) for the stderr summary.
     """
 
     jobs: int
@@ -177,25 +162,15 @@ class RunReport:
     notes: List[str] = field(default_factory=list)
 
 
-#: Below this many pending cells a fork pool cannot amortize its
+#: Below this many pending cells, spawned workers cannot amortize their
 #: startup + pickle cost against typical cell runtimes; stay in-process.
 _MIN_POOL_CELLS = 4
 
-#: Per-cell wait bound for pooled and dispatched execution.  The
-#: longest legitimate cells (fig7's one-minute configs) finish in well
-#: under a tenth of this, so it only ever fires on a genuinely wedged
-#: worker — which previously stalled ``run all`` forever.  Overridable
-#: per call (``cell_timeout=``) or via ``REPRO_CELL_TIMEOUT`` (seconds;
-#: 0 disables).
-DEFAULT_CELL_TIMEOUT_S = 600.0
-
-
-def _default_cell_timeout() -> Optional[float]:
-    raw = os.environ.get("REPRO_CELL_TIMEOUT")
-    if raw is None:
-        return DEFAULT_CELL_TIMEOUT_S
-    value = float(raw)
-    return value if value > 0 else None
+#: Per-cell wait bound on dispatch workers.  The longest legitimate
+#: cells (fig7's one-minute configs) finish in well under a tenth of
+#: this, so it only ever fires on a genuinely wedged worker, whose
+#: cells are then reassigned instead of stalling ``run all`` forever.
+CELL_TIMEOUT_S = 600.0
 
 
 def usable_cpus() -> int:
@@ -209,50 +184,39 @@ def usable_cpus() -> int:
 def default_jobs() -> int:
     """Worker count when the caller does not specify one.
 
-    With <= 2 usable cores a fork pool loses to sequential execution
-    (fork + pickle overhead with no spare core to hide it behind — the
-    0.91x "speedup" once recorded in BENCH_experiments.json), so the
-    default is in-process there.
+    With <= 2 usable cores spawned workers lose to in-process execution
+    (process startup + pickling with no spare core to hide it behind —
+    the 0.91x "speedup" once recorded in BENCH_experiments.json), so
+    the default is in-process there.
     """
     n = usable_cpus()
     return 1 if n <= 2 else n
 
 
-def _sanitize_requested() -> bool:
-    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+def _execute_cell(spec: Cell, sanitize: bool) -> Any:
+    """Run one cell in this process, under its own DMAsan when asked.
 
-
-def _execute_cell(spec: Cell) -> Any:
-    """Pool-worker entry point: run one cell, sanitized when requested.
-
-    Worker processes carry none of the parent's test-session observers,
-    so under ``REPRO_SANITIZE=1`` each pooled cell gets its own DMAsan
-    session; a breached DMA invariant fails the whole run loudly
-    instead of vanishing with the worker.
+    A dispatch worker carries none of the caller's test-session
+    observers, so with ``sanitize`` each cell gets its own DMAsan
+    session (it nests inside any ambient one in-process); a breached
+    DMA invariant fails the whole run loudly instead of vanishing with
+    the worker.
     """
-    if _sanitize_requested():
-        from ..analysis import hooks
-        from ..analysis.sanitizer import DmaSanitizer
+    if not sanitize:
+        return execute(spec)
+    from ..analysis import hooks
+    from ..analysis.sanitizer import DmaSanitizer
 
-        sanitizer = DmaSanitizer()
-        with hooks.session(sanitizer):
-            fragment = execute(spec)
-            sanitizer.final_check()
-        if sanitizer.violations:
-            raise RuntimeError(
-                f"DMAsan violations in cell {spec.label()}:\n"
-                + sanitizer.summary()
-            )
-        return fragment
-    return execute(spec)
-
-
-def _execute_cell_indexed(job: "tuple[int, Cell]") -> "tuple[int, Any]":
-    """Pool-worker entry for the imap scheduler: tag results with their
-    cell index so completion order (which varies run to run) never leaks
-    into result order."""
-    i, spec = job
-    return i, _execute_cell(spec)
+    sanitizer = DmaSanitizer()
+    with hooks.session(sanitizer):
+        fragment = execute(spec)
+        sanitizer.final_check()
+    if sanitizer.violations:
+        raise RuntimeError(
+            f"DMAsan violations in cell {spec.label()}:\n"
+            + sanitizer.summary()
+        )
+    return fragment
 
 
 # -- the cache ---------------------------------------------------------------
@@ -289,48 +253,24 @@ def _note(report: Optional[RunReport], text: str) -> None:
         report.notes.append(text)
 
 
-def _dispatch_pending(cells: Sequence[Cell], pending: List[int],
-                      endpoints, spawn_workers: int,
-                      cell_timeout: Optional[float],
-                      report: Optional[RunReport]) -> Optional[Dict[int, Any]]:
-    """Try the distributed path for ``pending``; None means fall back.
+def _dispatch(cells: Sequence[Cell], pending: List[int], endpoints,
+              spawn: int, sanitize: bool,
+              report: Optional[RunReport]) -> Optional[Dict[int, Any]]:
+    """Run ``pending`` on dispatch workers; None means run in-process.
 
-    Explicit ``endpoints`` are always honored (the caller asserted they
-    exist — typically other machines).  ``spawn_workers`` localhost
-    autospawn goes through the same honesty heuristic as the fork pool:
-    on a <= 2-core box, or for a sweep too small to amortize worker
-    startup, spawning local workers cannot win and the caller's
-    in-process/pool path runs instead — with the reason recorded.
+    The workers are the explicit ``endpoints`` or, when there are none,
+    ``spawn`` freshly spawned localhost workers (killed on return).
     """
     from . import dispatch as dispatch_mod
 
-    spawn = 0
-    if spawn_workers > 0:
-        if usable_cpus() <= 2:
-            _note(report, f"dispatch fallback: --spawn-workers "
-                          f"{spawn_workers} on a {usable_cpus()}-core box "
-                          f"cannot win; staying local")
-        elif len(pending) < _MIN_POOL_CELLS:
-            _note(report, f"dispatch fallback: only {len(pending)} pending "
-                          f"cell(s); not worth spawning workers")
-        else:
-            spawn = spawn_workers
-    if not endpoints and not spawn:
-        return None
-
-    timeout = (cell_timeout if cell_timeout is not None
-               else _default_cell_timeout()) or DEFAULT_CELL_TIMEOUT_S
-    jobs = [(i, cells[i]) for i in pending]
-    sanitize = _sanitize_requested()
+    fleet = (dispatch_mod.spawned_workers(spawn) if spawn
+             else contextlib.nullcontext(endpoints))
     try:
-        with contextlib.ExitStack() as stack:
-            all_endpoints = list(endpoints)
-            if spawn:
-                all_endpoints.extend(
-                    stack.enter_context(dispatch_mod.spawned_workers(spawn)))
+        with fleet as live:
             results, dstats = dispatch_mod.dispatch_cells(
-                jobs, all_endpoints, source_fingerprint(), timeout,
-                sanitize, _execute_cell)
+                [(i, cells[i]) for i in pending], live,
+                source_fingerprint(), CELL_TIMEOUT_S, sanitize,
+                functools.partial(_execute_cell, sanitize=sanitize))
     except dispatch_mod.DispatchUnavailable as exc:
         _note(report, f"dispatch fallback: {exc}")
         return None
@@ -347,6 +287,35 @@ def _dispatch_pending(cells: Sequence[Cell], pending: List[int],
     return results
 
 
+def _execute_pending(cells: Sequence[Cell], pending: List[int], jobs: int,
+                     workers, report: Optional[RunReport]) -> List[Any]:
+    """Compute the ``pending`` cells: on workers when they can win, else
+    in-process (no pickling, ambient observers intact)."""
+    sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+    endpoints: list = []
+    if workers:
+        from .dispatch import parse_endpoints
+        endpoints = parse_endpoints(workers)
+    spawn = 0
+    if not endpoints and jobs > 1:
+        if usable_cpus() <= 2:
+            _note(report, f"--jobs {jobs} on a {usable_cpus()}-core box "
+                          f"cannot win; running in-process")
+        elif len(pending) < _MIN_POOL_CELLS:
+            _note(report, f"only {len(pending)} pending cell(s); not worth "
+                          f"spawning workers")
+        else:
+            spawn = min(jobs, len(pending))
+    if endpoints or spawn:
+        results = _dispatch(cells, pending, endpoints, spawn, sanitize,
+                            report)
+        if results is not None:
+            return [results[i] for i in pending]
+    if report is not None:
+        report.mode = "in-process"
+    return [_execute_cell(cells[i], sanitize) for i in pending]
+
+
 def execute_cells(cells: Sequence[Cell],
                   jobs: Optional[int] = None,
                   cache: bool = True,
@@ -354,36 +323,27 @@ def execute_cells(cells: Sequence[Cell],
                   fingerprint: Optional[str] = None,
                   stats: Optional[CacheStats] = None,
                   report: Optional[RunReport] = None,
-                  workers=None,
-                  spawn_workers: int = 0,
-                  cell_timeout: Optional[float] = None) -> List[Any]:
+                  workers=None) -> List[Any]:
     """Execute ``cells``, returning fragments in the cells' order.
 
     Cached fragments are loaded instead of recomputed; missing ones run
-    in-process, across a fork pool, or across dispatch workers
-    (``workers`` — parsed ``host:port`` endpoints or a spec string —
-    and/or ``spawn_workers`` localhost autospawns), and are published
-    to the cache afterwards.  ``fingerprint`` overrides the source-tree
-    hash (tests use this to force invalidation without editing files).
+    in-process or on dispatch workers, and are published to the cache
+    afterwards.  ``workers`` (parsed ``host:port`` endpoints or a spec
+    string) are always used, on their own; otherwise ``jobs > 1``
+    spawns that many localhost workers for the run.  ``fingerprint``
+    overrides the source-tree hash (tests use this to force
+    invalidation without editing files).
 
-    Parallelism is honest: the pool is only forked when it can plausibly
-    win — more than two usable cores AND at least ``_MIN_POOL_CELLS``
-    pending cells AND ``jobs > 1`` — otherwise execution stays
-    in-process (no fork, no pickling, ambient observers intact), and
-    localhost worker autospawn obeys the same heuristic.  Cache-hit
-    cells never travel: only pending cells are pooled or dispatched.
-    Fragments are reassembled by cell index whatever completes (or
-    dies) first, so the output is bit-identical to the in-process
-    order at any job/worker count.  The chosen mode is recorded on
-    ``report`` when one is passed.
-
-    Robustness: pooled and dispatched cells wait at most
-    ``cell_timeout`` seconds (default :data:`DEFAULT_CELL_TIMEOUT_S`,
-    env ``REPRO_CELL_TIMEOUT``); a wedged pool is terminated and its
-    unfinished cells retried in-process, a wedged or dead dispatch
-    worker has its cells reassigned (in-process when no worker
-    remains).  A stuck child can therefore no longer stall ``run all``
-    forever.
+    Parallelism is honest: workers are only spawned when they can
+    plausibly win — more than two usable cores AND at least
+    ``_MIN_POOL_CELLS`` pending cells — otherwise execution stays
+    in-process and a note says why.  Cache-hit cells never travel: only
+    pending cells are dispatched.  Fragments are reassembled by cell
+    index whatever completes (or dies) first, so the output is
+    bit-identical to the in-process order at any job/worker count.  A
+    dead or wedged worker (no reply within :data:`CELL_TIMEOUT_S`) has
+    its cells reassigned, in-process when no worker remains.  The
+    chosen mode is recorded on ``report`` when one is passed.
     """
     jobs = jobs if jobs else default_jobs()
     if stats is None:
@@ -413,20 +373,7 @@ def execute_cells(cells: Sequence[Cell],
     stats.misses += len(pending)
 
     if pending:
-        endpoints = ()
-        if workers:
-            from .dispatch.client import parse_endpoints
-            endpoints = parse_endpoints(workers)
-        computed_map: Optional[Dict[int, Any]] = None
-        if endpoints or spawn_workers > 0:
-            computed_map = _dispatch_pending(cells, pending, endpoints,
-                                             spawn_workers, cell_timeout,
-                                             report)
-        if computed_map is not None:
-            computed = [computed_map[i] for i in pending]
-        else:
-            computed = _execute_local(cells, pending, jobs, cell_timeout,
-                                      report)
+        computed = _execute_pending(cells, pending, jobs, workers, report)
         for i, fragment in zip(pending, computed):
             fragments[i] = fragment
             if cache:
@@ -436,66 +383,6 @@ def execute_cells(cells: Sequence[Cell],
     return fragments
 
 
-def _execute_local(cells: Sequence[Cell], pending: List[int],
-                   jobs: int, cell_timeout: Optional[float],
-                   report: Optional[RunReport]) -> List[Any]:
-    """The single-box path: fork pool when it can win, else in-process."""
-    n_workers = min(jobs, len(pending))
-    use_pool = (n_workers > 1
-                and len(pending) >= _MIN_POOL_CELLS
-                and usable_cpus() > 2)
-    if not use_pool:
-        # In-process fallback: no pool, no pickling, ambient
-        # observers (a test-session DMAsan) keep seeing events.
-        # ``REPRO_SANITIZE=1`` still gets its per-cell sanitizer
-        # session (they nest), so the sanitize contract does not
-        # depend on whether the pool heuristics engaged.
-        if report is not None:
-            report.mode = "in-process"
-        return [_execute_cell(cells[i]) for i in pending]
-
-    import multiprocessing
-
-    timeout = (cell_timeout if cell_timeout is not None
-               else _default_cell_timeout())
-    # Chunked imap_unordered: workers pull work as they finish
-    # (slow cells overlap instead of barrier-batching a map),
-    # chunks amortize per-task pickle round-trips, and index
-    # tags restore deterministic order on reassembly.
-    chunksize = max(1, len(pending) // (n_workers * 4))
-    by_index: Dict[int, Any] = {}
-    retried: List[int] = []
-    with multiprocessing.get_context("fork").Pool(n_workers) as pool:
-        results = pool.imap_unordered(
-            _execute_cell_indexed,
-            [(i, cells[i]) for i in pending],
-            chunksize=chunksize)
-        while len(by_index) + len(retried) < len(pending):
-            try:
-                i, fragment = (results.next(timeout) if timeout
-                               else results.next())
-            except StopIteration:
-                break
-            except multiprocessing.TimeoutError:
-                # A wedged child would stall the sweep forever; kill
-                # the pool and retry everything unfinished in-process
-                # (a chunk stuck behind the wedged cell never started).
-                pool.terminate()
-                retried = [i for i in pending if i not in by_index]
-                break
-            by_index[i] = fragment
-    for i in retried:
-        by_index[i] = _execute_cell(cells[i])
-    if report is not None:
-        report.mode = f"fork-pool({n_workers})"
-        if retried:
-            report.mode += f"+retry({len(retried)})"
-            _note(report, f"fork-pool: cell wait exceeded {timeout}s; "
-                          f"pool terminated, {len(retried)} cell(s) "
-                          f"retried in-process")
-    return [by_index[i] for i in pending]
-
-
 def run_experiment(name: str,
                    jobs: Optional[int] = None,
                    cache: bool = True,
@@ -503,21 +390,17 @@ def run_experiment(name: str,
                    fingerprint: Optional[str] = None,
                    stats: Optional[CacheStats] = None,
                    workers=None,
-                   spawn_workers: int = 0,
-                   cell_timeout: Optional[float] = None,
                    **kwargs: Any) -> ExperimentResult:
     """Run one registry entry through the cell engine.
 
-    ``kwargs`` go to the experiment's cells builder, so tests can run
-    reduced sweeps (``run_experiment("table4", samples=100, jobs=2)``).
+    ``kwargs`` go to the experiment's cells builder, so callers can run
+    reduced sweeps (``run_experiment("table4", samples=100, jobs=1)``).
     """
     spec = SPECS[name]
     sweep = spec.cells(**kwargs)
     fragments = execute_cells(sweep, jobs=jobs, cache=cache,
                               cache_dir=cache_dir, fingerprint=fingerprint,
-                              stats=stats, workers=workers,
-                              spawn_workers=spawn_workers,
-                              cell_timeout=cell_timeout)
+                              stats=stats, workers=workers)
     return spec.merge(sweep, fragments)
 
 
@@ -526,15 +409,13 @@ def run_many(names: Sequence[str],
              cache: bool = True,
              cache_dir: Optional[os.PathLike] = None,
              fingerprint: Optional[str] = None,
-             workers=None,
-             spawn_workers: int = 0,
-             cell_timeout: Optional[float] = None) -> RunReport:
+             workers=None) -> RunReport:
     """Run several experiments as ONE flat cell sweep.
 
-    All cells from all requested experiments share the pool (or the
-    dispatch worker fleet), so a long sweep (fig7's two one-minute
-    configs) overlaps with everything else instead of serializing
-    behind its own two-cell fan-out.
+    All cells from all requested experiments share the worker fleet,
+    so a long sweep (fig7's two one-minute configs) overlaps with
+    everything else instead of serializing behind its own two-cell
+    fan-out.
     """
     jobs = jobs if jobs else default_jobs()
     report = RunReport(jobs=jobs)
@@ -550,8 +431,7 @@ def run_many(names: Sequence[str],
     fragments = execute_cells(flat, jobs=jobs, cache=cache,
                               cache_dir=cache_dir, fingerprint=fingerprint,
                               stats=report.stats, report=report,
-                              workers=workers, spawn_workers=spawn_workers,
-                              cell_timeout=cell_timeout)
+                              workers=workers)
 
     offset = 0
     for name, sweep in sweeps.items():

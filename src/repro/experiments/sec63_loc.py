@@ -16,9 +16,9 @@ from pathlib import Path
 from typing import Any, List, Sequence
 
 from .base import ExperimentResult
-from .cells import Cell, cell, run_cells
+from .cells import Cell, cell
 
-__all__ = ["run", "cells", "merge", "count_loc", "cell_count"]
+__all__ = ["cells", "merge", "count_loc", "cell_count"]
 
 _CORE = Path(__file__).resolve().parent.parent / "core"
 
@@ -96,7 +96,3 @@ def merge(sweep: Sequence[Cell], fragments: List[Any]) -> ExperimentResult:
         "backend; tgt port took ~40 LOC"
     )
     return result
-
-
-def run() -> ExperimentResult:
-    return run_cells(cells(), merge)

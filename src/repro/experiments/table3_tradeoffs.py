@@ -27,9 +27,9 @@ from ..mem.memory import Memory, OutOfMemoryError
 from ..sim.engine import Environment
 from ..sim.units import MB, PAGE_SIZE, us
 from .base import ExperimentResult
-from .cells import Cell, cell, run_cells
+from .cells import Cell, cell
 
-__all__ = ["run", "cells", "merge", "cell_strategy"]
+__all__ = ["cells", "merge", "cell_strategy"]
 
 STRATEGIES = ("static", "fine", "coarse", "npf")
 
@@ -161,7 +161,3 @@ def merge(sweep: Sequence[Cell], fragments: List[Any]) -> ExperimentResult:
         "slow; coarse is complex; NPFs alone have no trade-off"
     )
     return result
-
-
-def run() -> ExperimentResult:
-    return run_cells(cells(), merge)

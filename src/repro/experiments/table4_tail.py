@@ -19,9 +19,9 @@ from ..sim.rng import Rng
 from ..sim.stats import percentile
 from ..sim.units import KB, MB, PAGE_SIZE, us
 from .base import ExperimentResult
-from .cells import Cell, cell, run_cells
+from .cells import Cell, cell
 
-__all__ = ["run", "cells", "merge", "cell_tail"]
+__all__ = ["cells", "merge", "cell_tail"]
 
 PAPER = {
     "4KB": {"p50": 215, "p95": 250, "p99": 261, "max": 464},
@@ -79,7 +79,3 @@ def merge(sweep: Sequence[Cell], fragments: List[Any]) -> ExperimentResult:
         paper = PAPER[row["message"]]
         result.add_row(**row, paper_p50=paper["p50"], paper_p99=paper["p99"])
     return result
-
-
-def run(samples: int = 2000, seed: int = 7) -> ExperimentResult:
-    return run_cells(cells(samples=samples, seed=seed), merge)

@@ -27,10 +27,10 @@ from ..sim.engine import Environment
 from ..sim.rng import Rng
 from ..sim.units import GB, Gbps, KB
 from .base import ExperimentResult
-from .cells import Cell, cell, run_cells
+from .cells import Cell, cell
 from .config import scale_bytes, scaled_tcp_params
 
-__all__ = ["run", "run_config", "cells", "merge", "cell_instances"]
+__all__ = ["run_config", "cells", "merge", "cell_instances"]
 
 HOST_MEMORY = scale_bytes(8 * GB)       # 128 MB
 VM_MEMORY = scale_bytes(3 * GB)         # 48 MB: what each VM pins/thinks it has
@@ -118,8 +118,3 @@ def merge(sweep: Sequence[Cell], fragments: List[Any]) -> ExperimentResult:
         "for 1-2 and cannot launch 3+ (aggregate pinned memory > physical)"
     )
     return result
-
-
-def run(max_instances: int = 4, ops_per_vm: int = 2500) -> ExperimentResult:
-    return run_cells(cells(max_instances=max_instances,
-                           ops_per_vm=ops_per_vm), merge)

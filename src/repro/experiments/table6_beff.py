@@ -17,9 +17,9 @@ from ..apps.mpi import MpiWorld
 from ..sim.engine import Environment
 from ..sim.units import KB, MB
 from .base import ExperimentResult
-from .cells import Cell, cell, run_cells
+from .cells import Cell, cell
 
-__all__ = ["run", "cells", "merge", "cell_beff"]
+__all__ = ["cells", "merge", "cell_beff"]
 
 PAPER = {"pin": 16410, "npf": 16440, "copy": 8020}
 
@@ -73,7 +73,3 @@ def merge(sweep: Sequence[Cell], fragments: List[Any]) -> ExperimentResult:
         "effective bandwidth"
     )
     return result
-
-
-def run(n_ranks: int = 4, iterations: int = 24) -> ExperimentResult:
-    return run_cells(cells(n_ranks=n_ranks, iterations=iterations), merge)

@@ -19,6 +19,7 @@ observer never sees their events.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +53,18 @@ def _dma_sanitizer(request):
         san.final_check()
     if san.violations:
         pytest.fail(san.summary(), pytrace=False)
+
+
+@pytest.fixture
+def dispatch_jobs(monkeypatch):
+    """Make ``jobs > 1`` really spawn dispatch workers on any box.
+
+    The runner's honesty heuristic keeps ``jobs > 1`` in-process on
+    <= 2 usable CPUs; this fixture reports four, so the parallel path
+    is what the test exercises.  Spawned workers inherit the repo root
+    as their cwd, so cells defined in ``tests.*`` resolve there too.
+    """
+    from repro.experiments import runner
+
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 4)
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)

@@ -183,18 +183,18 @@ def test_sessions_nest_and_restore():
 # -- clean end-to-end runs (the acceptance criterion) ------------------------
 
 def test_fig3_run_is_sanitizer_clean():
-    from repro.experiments import fig3_breakdown
+    from repro.experiments.runner import run_experiment
     san = DmaSanitizer()
     with hooks.session(san), redirect_stdout(io.StringIO()):
-        fig3_breakdown.run(samples=20)
+        run_experiment("fig3", samples=20, jobs=1, cache=False)
         san.final_check()
     assert san.violations == [], san.summary()
 
 
 def test_fig4_startup_run_is_sanitizer_clean():
-    from repro.experiments import fig4_cold_ring
+    from repro.experiments.runner import run_experiment
     san = DmaSanitizer()
     with hooks.session(san), redirect_stdout(io.StringIO()):
-        fig4_cold_ring.run_startup(duration=1.0)
+        run_experiment("fig4a", duration=1.0, jobs=1, cache=False)
         san.final_check()
     assert san.violations == [], san.summary()

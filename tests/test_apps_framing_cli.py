@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.framing import MessageFramer
-from repro.experiments.__main__ import REGISTRY, main
+from repro.experiments.__main__ import main
+from repro.experiments.runner import SPECS
 from repro.host import ethernet_testbed
 from repro.nic import RxMode
 from repro.sim import Environment
@@ -85,9 +86,23 @@ def test_cli_runs_an_experiment(capsys):
     assert "section-6.3" in out
 
 
+def test_cli_rejects_jobs_below_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "sec63", "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "--jobs: must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_jobs_and_workers_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "sec63", "--jobs", "2", "--workers", "127.0.0.1:9"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_cli_registry_covers_every_artifact():
     """Every table/figure of the paper's evaluation has a CLI entry."""
     for artifact in ("fig3", "table4", "fig4a", "fig4b", "table5", "fig7",
                      "fig8a", "fig8b", "fig9", "table6", "fig10-eth",
                      "fig10-ib", "table3", "sec63"):
-        assert artifact in REGISTRY
+        assert artifact in SPECS

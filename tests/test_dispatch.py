@@ -10,6 +10,7 @@ Three layers of coverage:
   byte-identical across ``--workers {0,1,3}`` — and the seed matrix;
 * failure drills: a stale worker is rejected not used, a cell that
   kills its worker mid-run is reassigned until the sweep degrades to
+  in-process, a worker that wedges is timed out and its cells finish
   in-process, and a mid-run ``SIGKILL`` of one worker leaves the
   output byte-identical.
 
@@ -30,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.base import results_to_json
-from repro.experiments.cells import Cell, source_fingerprint
+from repro.experiments.cells import Cell, execute, source_fingerprint
 from repro.experiments.dispatch import protocol
 from repro.experiments.dispatch.client import (
     CellExecutionError,
@@ -40,7 +41,7 @@ from repro.experiments.dispatch.client import (
 )
 from repro.experiments.dispatch.server import CellServer
 from repro.experiments.dispatch.spawn import spawn_worker, spawned_workers
-from repro.experiments.runner import _execute_cell, run_experiment, run_many
+from repro.experiments.runner import run_experiment, run_many
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -79,6 +80,17 @@ def cell_worker_suicide(value: int) -> int:
     """
     if os.environ.get("REPRO_DISPATCH_WORKER"):
         os._exit(17)
+    return value * 2
+
+
+def cell_wedge(value: int) -> int:
+    """Hangs any dispatch *worker* that executes it; instant locally.
+
+    A deterministic stand-in for a wedged worker: the connection stays
+    up but no reply ever comes, so only the per-cell timeout can tell.
+    """
+    if os.environ.get("REPRO_DISPATCH_WORKER"):
+        time.sleep(60.0)
     return value * 2
 
 
@@ -170,7 +182,7 @@ def test_stale_worker_is_rejected_not_used():
         with pytest.raises(DispatchUnavailable, match="fingerprint mismatch"):
             dispatch_cells(_jobs(_noop_cells(2)), [("127.0.0.1", port)],
                            source_fingerprint(), cell_timeout=10.0,
-                           sanitize=False, local_execute=_execute_cell)
+                           sanitize=False, local_execute=execute)
     finally:
         server.close()
         thread.join(timeout=5)
@@ -201,7 +213,7 @@ def test_unreachable_workers_raise_dispatch_unavailable():
     with pytest.raises(DispatchUnavailable, match="no live dispatch workers"):
         dispatch_cells(_jobs(_noop_cells(2)), [("127.0.0.1", port)],
                        source_fingerprint(), cell_timeout=5.0,
-                       sanitize=False, local_execute=_execute_cell)
+                       sanitize=False, local_execute=execute)
 
 
 def test_in_thread_server_executes_cells():
@@ -210,7 +222,7 @@ def test_in_thread_server_executes_cells():
         results, stats = dispatch_cells(
             _jobs(_noop_cells(5)), [("127.0.0.1", port)],
             source_fingerprint(), cell_timeout=30.0, sanitize=False,
-            local_execute=_execute_cell)
+            local_execute=execute)
         assert results == {i: i * 2 for i in range(5)}
         assert stats.workers == 1 and stats.remote == 5
         assert stats.local == 0 and stats.reassigned == 0
@@ -228,7 +240,7 @@ def test_cell_error_propagates_and_is_not_reassigned():
         with pytest.raises(CellExecutionError, match="raised on worker"):
             dispatch_cells([(0, bad)], [("127.0.0.1", port)],
                            source_fingerprint(), cell_timeout=30.0,
-                           sanitize=False, local_execute=_execute_cell)
+                           sanitize=False, local_execute=execute)
     finally:
         server.close()
         thread.join(timeout=5)
@@ -245,12 +257,28 @@ def test_worker_death_reassigns_and_degrades_to_in_process():
     with spawned_workers(2) as endpoints:
         results, stats = dispatch_cells(
             _jobs(specs), endpoints, source_fingerprint(),
-            cell_timeout=30.0, sanitize=False, local_execute=_execute_cell)
+            cell_timeout=30.0, sanitize=False, local_execute=execute)
     assert results == {i: i * 2 for i in range(7)}
     assert stats.dead, "no worker death recorded"
     assert stats.reassigned >= 1
     assert stats.local >= 1, "suicide cell must finish in-process"
     assert "reassigned=" in stats.mode()
+
+
+def test_wedged_worker_times_out_and_cell_finishes_in_process():
+    """A worker that stops answering mid-chunk must not stall the sweep:
+    after ``cell_timeout`` it is recorded dead, its cells are reassigned,
+    and with no worker left they finish in-process."""
+    specs = [Cell("drill", 0, "tests.test_dispatch:cell_wedge",
+                  (("value", 0),))] + _noop_cells(6)[1:]
+    with spawned_workers(1) as endpoints:
+        results, stats = dispatch_cells(
+            _jobs(specs), endpoints, source_fingerprint(),
+            cell_timeout=2.0, sanitize=False, local_execute=execute)
+    assert results == {i: i * 2 for i in range(6)}
+    assert stats.dead == [f"{h}:{p}" for h, p in endpoints]
+    assert stats.reassigned == 6
+    assert stats.local == 6, "wedged cell must finish in-process"
 
 
 def test_run_all_byte_identical_across_worker_counts():
@@ -339,14 +367,20 @@ def test_cache_hits_are_resolved_locally_without_dispatch(tmp_path):
 
 
 def test_spawn_workers_falls_back_honestly_on_small_boxes(monkeypatch):
-    """--spawn-workers obeys the same honesty heuristic as the pool:
-    on a <= 2-core box it stays in-process and says why."""
+    """``jobs > 1`` spawns workers only where they can win: not on a
+    <= 2-core box, nor for fewer than four pending cells; the run stays
+    in-process and says why."""
     import repro.experiments.runner as runner_mod
 
     monkeypatch.setattr(runner_mod, "usable_cpus", lambda: 1)
-    report = run_many(["table3"], spawn_workers=2, cache=False)
+    report = run_many(["table3"], jobs=2, cache=False)
     assert report.mode == "in-process"
     assert any("cannot win" in note for note in report.notes)
+
+    monkeypatch.setattr(runner_mod, "usable_cpus", lambda: 4)
+    report = run_many(["sec63"], jobs=2, cache=False)  # 3 cells
+    assert report.mode == "in-process"
+    assert any("pending cell" in note for note in report.notes)
 
 
 def test_explicit_workers_fall_back_when_all_unreachable():
@@ -387,7 +421,7 @@ def test_work_stealing_engages_with_unbalanced_workers():
     with spawned_workers(2) as endpoints:
         results, stats = dispatch_cells(
             _jobs(specs), endpoints, source_fingerprint(),
-            cell_timeout=30.0, sanitize=False, local_execute=_execute_cell)
+            cell_timeout=30.0, sanitize=False, local_execute=execute)
     assert results == {i: i for i in range(10)}
     assert stats.remote == 10
     assert stats.stolen >= 1, f"no stealing despite imbalance: {stats}"

@@ -8,15 +8,12 @@ breakdown, in the same order.  These tests are the canary for any
 optimization that reorders events or changes float association.
 """
 
-import multiprocessing
-
-import pytest
-
 from repro.apps.framing import MessageFramer
 from repro.apps.kvstore import KvServer
 from repro.apps.memaslap import Memaslap
-from repro.experiments import fig3_breakdown
+from repro.experiments import fig3_breakdown, runner
 from repro.experiments.base import results_to_json
+from repro.experiments.cells import execute
 from repro.experiments.config import scaled_tcp_params
 from repro.experiments.fig4_cold_ring import MODES
 from repro.experiments.runner import run_experiment
@@ -24,8 +21,6 @@ from repro.host.host import ethernet_testbed
 from repro.sim.engine import Environment
 from repro.sim.rng import Rng
 from repro.sim.units import KB, MB
-
-_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _npf_stream(log):
@@ -43,9 +38,12 @@ def _invalidation_stream(log):
 
 
 def test_fig3_event_streams_are_reproducible():
+    sweep = fig3_breakdown.cells(samples=40)
     logs_a, logs_b = [], []
-    result_a = fig3_breakdown.run(samples=40, logs=logs_a)
-    result_b = fig3_breakdown.run(samples=40, logs=logs_b)
+    result_a = fig3_breakdown.merge(
+        sweep, [execute(c, logs=logs_a) for c in sweep])
+    result_b = fig3_breakdown.merge(
+        sweep, [execute(c, logs=logs_b) for c in sweep])
 
     assert len(logs_a) == len(logs_b) == 4  # npf-4KB, npf-4MB, 2x invalidation
     assert logs_a[0].npf_count > 0
@@ -98,11 +96,13 @@ def test_fig4_cold_ring_event_streams_are_reproducible():
     assert saw_faults, "no NPFs serviced in any mode; test lost its teeth"
 
 
-@pytest.mark.skipif(not _FORK, reason="parallel runner needs the fork start method")
-def test_seed_matrix_is_byte_identical_across_job_counts():
+def test_seed_matrix_is_byte_identical_across_job_counts(monkeypatch,
+                                                         dispatch_jobs):
     """3 seeds x jobs {1, 4}: each seed's rendered table must be
     byte-identical regardless of worker count, and distinct seeds must
     actually produce distinct tables (the seed plumbing is not dead)."""
+    # table4 is a two-cell sweep: let even that spawn its workers.
+    monkeypatch.setattr(runner, "_MIN_POOL_CELLS", 1)
     MessageFramer.reset_registry()
     per_seed = {}
     for seed in (7, 11, 23):

@@ -1,10 +1,12 @@
-"""The parallel sweep-cell engine: equivalence, caching, sanitizing.
+"""The sweep-cell engine: equivalence, caching, sanitizing.
 
 The engine's contract is strong: whatever ``jobs`` is, and whether
-fragments came from the pool or the cache, the merged tables are
-byte-identical to the sequential facades' output.  These tests pin
-that contract on a set of fast experiments (the full sweep runs in the
-``e2e_run_all`` benchmark gate instead).
+fragments came from dispatch workers, in-process execution or the
+cache, the merged tables are byte-identical.  These tests pin that
+contract on a set of fast experiments (the full sweep runs in the
+``e2e_run_all`` benchmark gate instead).  Tests that use ``jobs > 1``
+take the ``dispatch_jobs`` fixture, so they run on spawned workers
+even on a small box.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ from repro.experiments.runner import CacheStats, run_experiment, run_many
 # paying for the minute-long sweeps.
 FAST = ["table3", "sec63", "ablation-batching", "ablation-bypass",
         "ablation-classes", "ablation-pdc"]
-
-_FORK = "fork" in multiprocessing.get_all_start_methods()
-needs_fork = pytest.mark.skipif(not _FORK, reason="needs fork start method")
 
 
 def _render(results) -> str:
@@ -80,23 +79,15 @@ def test_source_fingerprint_is_stable_within_a_process():
 
 # -- parallel == sequential --------------------------------------------------
 
-@needs_fork
-def test_parallel_output_is_byte_identical_to_sequential(tmp_path):
+def test_parallel_output_is_byte_identical_to_sequential(dispatch_jobs):
     seq = run_many(FAST, jobs=1, cache=False)
     par = run_many(FAST, jobs=4, cache=False)
+    assert par.mode.startswith("dispatch(n=4,"), par.mode
     assert _render(seq.results.values()) == _render(par.results.values())
 
 
-@needs_fork
-def test_parallel_matches_run_facades():
-    report = run_many(FAST, jobs=2, cache=False)
-    facades = [runner.SPECS[name].run() for name in FAST]
-    assert _render(report.results.values()) == _render(facades)
-
-
-@needs_fork
 @pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_determinism_across_job_counts(jobs):
+def test_determinism_across_job_counts(jobs, dispatch_jobs):
     result = run_experiment("ablation-pdc", jobs=jobs, cache=False)
     baseline = run_experiment("ablation-pdc", jobs=1, cache=False)
     assert _render([result]) == _render([baseline])
@@ -148,8 +139,8 @@ def test_no_cache_never_touches_disk(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@needs_fork
-def test_pooled_run_populates_cache_for_sequential_rerun(tmp_path):
+def test_pooled_run_populates_cache_for_sequential_rerun(tmp_path,
+                                                        dispatch_jobs):
     cold = CacheStats()
     par = run_experiment("ablation-pdc", jobs=4, cache_dir=tmp_path,
                          stats=cold)
@@ -170,20 +161,22 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "alt").is_dir()
 
 
-# -- DMAsan through pooled cells ---------------------------------------------
+# -- DMAsan through worker-run cells -----------------------------------------
 
-@needs_fork
-def test_pooled_cell_runs_under_dmasan(tmp_path, monkeypatch):
+def test_pooled_cell_runs_under_dmasan(monkeypatch, dispatch_jobs):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    # ablation-bypass cells drive real DMA traffic through the driver;
-    # a clean run proves each worker installed (and passed) its own
-    # sanitizer session.
-    result = run_experiment("ablation-bypass", jobs=2, cache=False)
-    baseline = run_experiment("ablation-bypass", jobs=1, cache=False)
-    assert _render([result]) == _render([baseline])
+    # The ablation-bypass and -batching cells drive real DMA traffic
+    # through the driver; a clean run proves each worker installed (and
+    # passed) its own sanitizer session.
+    names = ["ablation-bypass", "ablation-batching"]
+    report = run_many(names, jobs=2, cache=False)
+    baseline = run_many(names, jobs=1, cache=False)
+    assert report.mode.startswith("dispatch(n=2,"), report.mode
+    assert (_render(report.results.values())
+            == _render(baseline.results.values()))
 
 
-def cell_violation() -> int:
+def cell_violation(value: int = 0) -> int:
     """Test helper cell: reports a DMA invariant breach to the observer.
 
     Dropping a page the sanitizer never saw become resident is a
@@ -204,74 +197,28 @@ def cell_violation() -> int:
 
     if hooks.active is not None:
         hooks.active.on_page_dropped(_Space(), vpn=1, frame=0, evicted=False)
-    return 0
+    return value
+
+
+def _violation_cells(n):
+    return [Cell("x", i, "tests.test_experiments_runner:cell_violation",
+                 (("value", i),)) for i in range(n)]
 
 
 def test_cell_violation_fails_loudly(monkeypatch):
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    spec = Cell(experiment="x", index=0,
-                fn="tests.test_experiments_runner:cell_violation", config=())
+    cells = _violation_cells(1)
     with pytest.raises(RuntimeError, match="DMAsan"):
-        runner._execute_cell(spec)
-
-
-@needs_fork
-def test_pooled_cell_violation_fails_loudly(monkeypatch):
+        runner._execute_cell(cells[0], sanitize=True)
+    # execute_cells reads the flag from the environment, in-process too.
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    spec = Cell(experiment="x", index=0,
-                fn="tests.test_experiments_runner:cell_violation", config=())
-    other = Cell(experiment="x", index=1,
-                 fn="tests.test_experiments_runner:cell_violation", config=())
     with pytest.raises(RuntimeError, match="DMAsan"):
-        runner.execute_cells([spec, other], jobs=2, cache=False)
+        runner.execute_cells(cells, jobs=1, cache=False)
 
 
-# -- pool robustness: the hung-worker hazard ---------------------------------
-
-def cell_pool_sleeper(value: int) -> int:
-    """Wedges only inside a pool child; instant on the in-process retry.
-
-    ``multiprocessing.parent_process()`` is None in the main process,
-    so the timeout path's retry completes immediately — the test
-    observes the terminate-and-retry machinery, not a long sleep.
-    """
-    import time
-
-    if multiprocessing.parent_process() is not None:
-        time.sleep(60.0)
-    return value * 7
-
-
-def cell_quick(value: int) -> int:
-    return value * 3
-
-
-@needs_fork
-def test_pool_cell_timeout_terminates_and_retries_in_process(monkeypatch):
-    """A wedged pool child used to stall ``run all`` forever; now the
-    pool is terminated and unfinished cells retried in-process."""
-    monkeypatch.setattr(runner, "usable_cpus", lambda: 4)
-    cells = [Cell("drill", 0, "tests.test_experiments_runner:"
-                  "cell_pool_sleeper", (("value", 6),))]
-    cells += [Cell("drill", i, "tests.test_experiments_runner:cell_quick",
-                   (("value", i),)) for i in range(1, 6)]
-    report = runner.RunReport(jobs=2)
-    fragments = runner.execute_cells(cells, jobs=2, cache=False,
-                                     cell_timeout=2.0, report=report)
-    assert fragments == [42, 3, 6, 9, 12, 15]
-    assert report.mode.startswith("fork-pool(2)+retry("), report.mode
-    assert any("retried in-process" in note for note in report.notes)
-
-
-@needs_fork
-def test_pool_timeout_disabled_via_env(monkeypatch):
-    """REPRO_CELL_TIMEOUT=0 disables the bound (opt-out stays possible)."""
-    monkeypatch.setenv("REPRO_CELL_TIMEOUT", "0")
-    assert runner._default_cell_timeout() is None
-    monkeypatch.setenv("REPRO_CELL_TIMEOUT", "120")
-    assert runner._default_cell_timeout() == 120.0
-    monkeypatch.delenv("REPRO_CELL_TIMEOUT")
-    assert runner._default_cell_timeout() == runner.DEFAULT_CELL_TIMEOUT_S
+def test_pooled_cell_violation_fails_loudly(monkeypatch, dispatch_jobs):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    with pytest.raises(RuntimeError, match="(?s)raised on worker.*DMAsan"):
+        runner.execute_cells(_violation_cells(4), jobs=2, cache=False)
 
 
 # -- cache hardening: corrupt entries and concurrent writers -----------------
@@ -309,7 +256,8 @@ def _hammer_cache_store(path, payload, iterations):
         runner._cache_store(path, payload)
 
 
-@needs_fork
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork start method")
 def test_concurrent_publishers_never_leave_a_torn_entry(tmp_path):
     """Two processes racing ``_cache_store`` on the same key while a
     reader polls: ``os.replace`` publish means every read is a complete
@@ -351,11 +299,3 @@ def test_run_many_reports_stats_and_order():
     assert list(report.results) == ["sec63", "table3"]
     assert report.stats.total == 7
     assert report.wall_s >= 0.0
-
-
-def test_registry_backed_by_specs():
-    from repro.experiments.__main__ import REGISTRY
-
-    assert list(REGISTRY) == list(runner.SPECS)
-    for name, fn in REGISTRY.items():
-        assert fn is runner.SPECS[name].run

@@ -7,21 +7,15 @@ refactor cannot silently break a figure.
 
 import pytest
 
-from repro.experiments import (
-    ablations,
-    fig3_breakdown,
-    fig4_cold_ring,
-    fig8_storage,
-    fig9_imb,
-    fig10_whatif,
-    sec63_loc,
-    table3_tradeoffs,
-    table4_tail,
-    table5_overcommit,
-    table6_beff,
-)
+from repro.experiments import table5_overcommit
 from repro.experiments.base import ExperimentResult, print_result
 from repro.experiments.config import TIME_SCALE, scale_bytes, scaled_tcp_params
+from repro.experiments.runner import run_experiment
+
+
+def run(name, **sizes):
+    """One reduced sweep, in-process and uncached."""
+    return run_experiment(name, jobs=1, cache=False, **sizes)
 
 
 def check_result(result, expected_id):
@@ -41,20 +35,20 @@ def test_config_scaling_helpers():
 
 
 def test_fig3_smoke():
-    result = fig3_breakdown.run(samples=10)
+    result = run("fig3", samples=10)
     check_result(result, "figure-3")
     assert len(result.rows) == 4
 
 
 def test_table4_smoke():
-    result = table4_tail.run(samples=100)
+    result = run("table4", samples=100)
     check_result(result, "table-4")
     for row in result.rows:
         assert row["p50_us"] <= row["p99_us"]
 
 
 def test_fig4b_smoke():
-    result = fig4_cold_ring.run_ring_sweep(ring_sizes=(16,), ops=300)
+    result = run("fig4b", ring_sizes=(16,), ops=300)
     check_result(result, "figure-4b")
     row = result.rows[0]
     assert row["drop_s"] > row["pin_s"]
@@ -68,7 +62,7 @@ def test_table5_smoke():
 
 
 def test_fig8a_smoke():
-    result = fig8_storage.run_bandwidth(memory_points_gb=(4, 8), ios=60)
+    result = run("fig8a", memory_points_gb=(4, 8), ios=60)
     check_result(result, "figure-8a")
     rows = {r["memory_gb"]: r for r in result.rows}
     assert rows[4]["pin_gbps"] == "FAIL"
@@ -76,49 +70,47 @@ def test_fig8a_smoke():
 
 
 def test_fig8b_smoke():
-    result = fig8_storage.run_resident_memory(session_counts=(1, 4),
-                                              ios_per_session=4)
+    result = run("fig8b", session_counts=(1, 4), ios_per_session=4)
     check_result(result, "figure-8b")
     for row in result.rows:
         assert row["npf_64KB_mb"] <= row["pin_mb"]
 
 
 def test_fig9_smoke():
-    result = fig9_imb.run(iterations=60, n_ranks=2)
+    result = run("fig9", iterations=60, n_ranks=2)
     check_result(result, "figure-9")
     assert {r["benchmark"] for r in result.rows} == \
         {"sendrecv", "bcast", "alltoall"}
 
 
 def test_table6_smoke():
-    result = table6_beff.run(n_ranks=2, iterations=20)
+    result = run("table6", n_ranks=2, iterations=20)
     check_result(result, "table-6")
     rows = {r["mode"]: r for r in result.rows}
     assert rows["copy"]["beff_mb_s"] < rows["pin"]["beff_mb_s"]
 
 
 def test_fig10_ib_smoke():
-    result = fig10_whatif.run_infiniband(frequencies=(2.0 ** -14, 2.0 ** -22),
-                                         n_messages=300)
+    result = run("fig10-ib", frequencies=(2.0 ** -14, 2.0 ** -22),
+                 n_messages=300)
     check_result(result, "figure-10-infiniband")
     assert result.rows[0]["pct_of_optimum"] < result.rows[-1]["pct_of_optimum"]
 
 
 def test_table3_smoke():
-    result = table3_tradeoffs.run()
+    result = run("table3")
     check_result(result, "table-3")
     assert len(result.rows) == 4
 
 
 def test_sec63_smoke():
-    result = sec63_loc.run()
+    result = run("sec63")
     check_result(result, "section-6.3")
 
 
 def test_ablation_smoke():
-    check_result(ablations.run_batching(), "ablation-batching")
-    check_result(ablations.run_read_rnr_extension(n_reads=2),
-                 "ablation-read-rnr")
+    check_result(run("ablation-batching"), "ablation-batching")
+    check_result(run("ablation-read-rnr", n_reads=2), "ablation-read-rnr")
 
 
 def test_print_result_formats_mixed_types():

@@ -1,9 +1,9 @@
 """Golden-trace determinism for the rack incast sweep.
 
 An 8-to-1 reduced sweep (all nine net x memory cells) must serialize
-byte-identically to the committed golden under every execution engine:
-sequential, parallel pool at several widths, and the distributed
-dispatch path with real spawned workers.  The golden pins the whole
+byte-identically to the committed golden however it executes:
+in-process, on ``--jobs`` spawned workers at several widths, and on
+explicitly addressed dispatch workers.  The golden pins the whole
 surface — goodput floats, PFC pause counts, retransmit/NACK/drop
 counters — so any nondeterminism in the rack fabric shows up as a
 one-byte diff here long before it corrupts a paper figure.
@@ -45,7 +45,7 @@ def _run(**kwargs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_incast_golden_across_job_counts(jobs):
+def test_incast_golden_across_job_counts(jobs, dispatch_jobs):
     assert _run(jobs=jobs) == _render(), \
         f"--jobs {jobs} diverged from the committed golden"
 

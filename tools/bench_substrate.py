@@ -282,10 +282,10 @@ def bench_switch_fanout(scale: int) -> int:
 
 def bench_e2e_fig3(scale: int) -> int:
     """One end-to-end experiment (Figure 3 breakdown, real driver flows)."""
-    from repro.experiments import fig3_breakdown
+    from repro.experiments.runner import run_experiment
 
     samples = max(10, scale // 2000)
-    fig3_breakdown.run(samples=samples)
+    run_experiment("fig3", samples=samples, jobs=1, cache=False)
     return samples
 
 
@@ -322,11 +322,12 @@ def run_experiments_gate(jobs: int | None, quick: bool) -> dict:
     """The ``e2e_run_all`` gate for the parallel experiment engine.
 
     Times ``run all`` three ways — sequential in-process (``jobs=1``,
-    no cache), parallel cold (``--jobs N`` into a fresh cache), and the
-    warm-cache re-run — and verifies the three rendered outputs are
-    byte-identical.  The engine's acceptance criteria ride on the
-    resulting numbers: ``parallel_speedup`` (needs >= 4 cores to mean
-    anything) and ``warm_fraction`` (< 0.1 of the cold time).
+    no cache), parallel cold (``--jobs N`` spawned dispatch workers
+    into a fresh cache), and the warm-cache re-run — and verifies the
+    three rendered outputs are byte-identical.  The engine's acceptance
+    criteria ride on the resulting numbers: ``parallel_speedup`` (needs
+    >= 4 cores to mean anything) and ``warm_fraction`` (< 0.1 of the
+    cold time).
 
     Parallelism is reported honestly via the runner's *effective* mode
     (``RunReport.mode``): on boxes where the in-process fallback engages
@@ -334,9 +335,9 @@ def run_experiments_gate(jobs: int | None, quick: bool) -> dict:
     same in-process plan as the sequential leg, so its plan speedup is
     1.0 by identity — the raw wall clocks (which then differ only by
     cache-store cost and scheduler noise) are still recorded alongside.
-    A fork pool that loses to sequential can therefore never hide: it
-    would appear as ``parallel_mode: fork-pool(n)`` with a measured
-    speedup < 1.
+    Spawned workers that lose to sequential can therefore never hide:
+    they would appear as ``parallel_mode: dispatch(n=N, ...)`` with a
+    measured speedup < 1.
     """
     import contextlib
     import io
@@ -383,8 +384,9 @@ def run_experiments_gate(jobs: int | None, quick: bool) -> dict:
     # leg executed the identical sequential plan, so its speedup is 1.0
     # by identity (the raw wall clocks above still record the measured
     # seconds, which then differ only by cache-store cost and noise).
-    # When a pool actually forked, the measured ratio stands — a losing
-    # pool shows up as parallel_mode: fork-pool(n) with speedup < 1.
+    # When workers actually spawned, the measured ratio stands — losing
+    # workers show up as parallel_mode: dispatch(n=N, ...) with
+    # speedup < 1.
     measured = round(sequential_s / parallel_s, 2) if parallel_s else None
     gate = {
         "experiments": len(names),
@@ -428,10 +430,11 @@ def run_dispatch_gate(quick: bool) -> dict:
       first cell imports the whole experiment package), which is real
       but fixed — on the full suite it is noise, on the sub-second
       ``--quick`` suite it would otherwise dominate the ratio;
-    * ``--spawn-workers 2`` autospawn — on a <= 2-core box the honesty
-      heuristic must fall back in-process (recorded as the effective
-      mode) and stay within 5% of the sequential leg; on a bigger box
-      the spawned workers must win or at least record their true mode.
+    * ``jobs=2`` (two spawned localhost workers) — on a <= 2-core box
+      the honesty heuristic must fall back in-process (recorded as the
+      effective mode) and stay within 5% of the sequential leg; on a
+      bigger box the spawned workers must win or at least record their
+      true mode.
 
     All three rendered outputs must be byte-identical — the dispatch
     path's core promise.
@@ -467,8 +470,8 @@ def run_dispatch_gate(quick: bool) -> dict:
     print(f"  loopback dispatch (1 worker, mode={disp_report.mode})"
           f"  {dispatch_s:8.1f} s")
 
-    spawn_s, spawn_text, spawn_report = timed(spawn_workers=2)
-    print(f"  --spawn-workers 2 (mode={spawn_report.mode})"
+    spawn_s, spawn_text, spawn_report = timed(jobs=2)
+    print(f"  --jobs 2 (mode={spawn_report.mode})"
           f"  {spawn_s:8.1f} s")
 
     identical = seq_text == disp_text == spawn_text
@@ -513,9 +516,9 @@ def run_dispatch_gate(quick: bool) -> dict:
 def run_rack_gate(quick: bool) -> dict:
     """The ``rack_incast`` gate for the rack-scale fabric.
 
-    Runs the opt-out 3x3 incast sweep twice — sequential and through
-    the parallel pool — and checks the claims the experiment exists to
-    make:
+    Runs the opt-out 3x3 incast sweep twice — sequential and at the
+    default ``jobs`` (spawned workers where they can win) — and checks
+    the claims the experiment exists to make:
 
     * byte-identity: both legs render the identical JSON (the fabric,
       PFC scheduler and loss injection are fully deterministic);
