@@ -85,8 +85,8 @@ class Scenario:
     seed: int = 0
     fabric: str = "eth"        # "eth" | "ib"
     mode: str = "npf"          # "static" | "pdc" | "npf"
-    #: topology axis (ib only): 0 = back-to-back pair (legacy), N > 0 =
-    #: N-sender star through one switch port (the rack fabric).
+    #: topology axis (ib only): 0 = back-to-back pair, N > 0 = N senders
+    #: through one switch port (the rack fabric, uncapped egress ports).
     n_senders: int = 0
     #: random loss on the congested switch->receiver downlink (percent);
     #: > 0 enables RC loss recovery on every QP.

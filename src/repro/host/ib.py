@@ -73,10 +73,10 @@ def ib_rack(
     one switch port.  Returns ``(senders, receiver, topology)``.
 
     ``egress_queue``/``pfc``/``loss_rate`` select the fabric flavour
-    (see :class:`~repro.net.switch.Switch`): legacy lossless, finite
-    lossy queues, or PFC-backpressured lossless.  Loss, if any, sits on
-    the congested switch->receiver downlink; ACK and NACK return paths
-    stay reliable.
+    (see :class:`~repro.net.switch.Switch`): uncapped egress ports
+    (lossless best effort, the default), finite lossy queues, or
+    PFC-backpressured lossless.  Loss, if any, sits on the congested
+    switch->receiver downlink; ACK and NACK return paths stay reliable.
     """
     spec = rack_spec(n_senders, receiver="recv", rate_bps=rate_bps,
                      propagation_delay=propagation_delay,

@@ -1,6 +1,6 @@
 """Network fabric: packets, links, switches and topology helpers."""
 
-from .fabric import connect_back_to_back, star
+from .fabric import connect_back_to_back
 from .link import Link
 from .packet import ETHERNET_HEADER, ETHERNET_MTU, IB_HEADER, IB_MTU, Packet
 from .switch import PfcConfig, Switch
@@ -9,7 +9,6 @@ from .topology import (Edge, LinkSpec, SwitchSpec, Topology, TopologyError,
 
 __all__ = [
     "connect_back_to_back",
-    "star",
     "Link",
     "Packet",
     "Switch",

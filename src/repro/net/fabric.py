@@ -1,35 +1,25 @@
-"""Topology helpers: wire endpoints together with links or a switch.
+"""Topology helper: cable two endpoints back to back.
 
 Endpoints are any objects exposing ``name`` (str) and ``receive(packet)``.
 :func:`connect_back_to_back` reproduces the paper's Ethernet testbed (two
-servers, NICs cabled directly); :func:`star` reproduces the InfiniBand
-cluster (eight servers through one SwitchX-2).
-
-Both are now thin facades over the declarative builder in
-:mod:`repro.net.topology` — they construct a :class:`TopologySpec` for
-their fixed shape and return the built pieces under the original
-signatures, so the two historical call shapes and the rack-scale specs
-share one wiring/validation/routing path.  Wiring order, link names and
-upstream registration are exactly what the hand-wired versions produced.
-
-With the burst-mode datapath (see :mod:`repro.net.link`), a back-to-back
-burst entering either topology is committed as one serialization train
-per link hop; senders that already hold a batch should prefer
-``Link.send_many`` / ``Switch.receive_many`` so the train is committed
-in one call instead of being re-assembled from per-packet sends.
+servers, NICs cabled directly).  It is a thin facade over the
+declarative builder in :mod:`repro.net.topology`: it constructs a
+two-host :class:`TopologySpec` and returns the two built links, so the
+testbed and the rack-scale specs (:func:`~repro.net.topology.rack_spec`,
+the InfiniBand cluster's switch fabric) share one
+wiring/validation/routing path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Protocol, Tuple
+from typing import Protocol, Tuple
 
 from ..sim.engine import Environment
 from .link import Link
 from .packet import Packet
-from .switch import Switch
-from .topology import Edge, LinkSpec, SwitchSpec, TopologySpec
+from .topology import Edge, LinkSpec, TopologySpec
 
-__all__ = ["Endpoint", "connect_back_to_back", "star"]
+__all__ = ["Endpoint", "connect_back_to_back"]
 
 
 class Endpoint(Protocol):
@@ -64,32 +54,3 @@ def connect_back_to_back(
     topo = spec.build(env, (a, b))
     return topo.link(a.name, b.name), topo.link(b.name, a.name)
 
-
-def star(
-    env: Environment,
-    endpoints: Iterable[Endpoint],
-    rate_bps: float,
-    propagation_delay: float = 0.5e-6,
-    flow_control: bool = True,
-) -> Tuple[Switch, Dict[str, Link]]:
-    """Wire every endpoint to one switch; returns (switch, uplinks-by-name).
-
-    Each endpoint gets an uplink into the switch; the switch owns one
-    egress link per endpoint.  Upstream registration enables congestion-
-    spreading experiments.
-    """
-    endpoint_list = list(endpoints)
-    spec = TopologySpec(
-        hosts=tuple(ep.name for ep in endpoint_list),
-        switches=(SwitchSpec("sw", flow_control=flow_control),),
-        edges=tuple(
-            Edge(ep.name, "sw",
-                 LinkSpec(rate_bps=rate_bps,
-                          propagation_delay=propagation_delay))
-            for ep in endpoint_list
-        ),
-    )
-    topo = spec.build(env, endpoint_list)
-    switch = topo.switches["sw"]
-    uplinks = {ep.name: topo.link(ep.name, "sw") for ep in endpoint_list}
-    return switch, uplinks

@@ -4,8 +4,9 @@ A :class:`Link` is unidirectional: packets are queued, serialized at
 the link rate, propagated after a fixed delay, and handed to the
 receiver callback.  :meth:`pause`/:meth:`resume` model IEEE 802.3x
 flow control — while paused the serializer stalls and the bounded
-transmit buffer fills; overflow drops packets (or, at a switch, forces
-the pause to spread upstream, see :mod:`repro.net.switch`).
+transmit buffer fills; overflow drops packets (a PFC switch instead
+spreads the pause upstream before its ports overflow, see
+:mod:`repro.net.switch`).
 
 Burst-mode datapath
 -------------------
@@ -175,42 +176,6 @@ class Link:
             return False
         self._pending.append(packet)
         return True
-
-    def send_many(self, packets) -> int:
-        """Bulk :meth:`send`; returns how many packets were accepted.
-
-        Same acceptance rule, drop accounting and serialization
-        schedule as the equivalent ``send`` loop, but an idle link
-        commits the whole burst as one train up front.
-        """
-        n = len(packets)
-        if n == 0:
-            return 0
-        if n == 1:
-            return 1 if self.send(packets[0]) else 0
-        accepted = 0
-        if self._train is None and self._held is None and not self._pending:
-            if self._paused:
-                self._held = packets[0]
-                accepted = 1
-            else:
-                # Packet 0 starts immediately; packets 1..B fill the
-                # buffer — the idle-start capacity is buffer + 1.
-                k = min(n, self.buffer_packets + 1)
-                self._commit(list(packets[:k]), self.env.now)
-                dropped = n - k
-                if dropped:
-                    self.dropped_packets += dropped
-                return k
-        room = self.buffer_packets - self._waiting()
-        if room > 0:
-            take = min(n - accepted, room)
-            self._pending.extend(packets[accepted:accepted + take])
-            accepted += take
-        dropped = n - accepted
-        if dropped:
-            self.dropped_packets += dropped
-        return accepted
 
     def _waiting(self) -> int:
         """Packets waiting for their serialization to start (the old

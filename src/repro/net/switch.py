@@ -1,24 +1,20 @@
-"""Output-queued switch with optional link-level flow control.
+"""Output-queued switch: per-port occupancy, optional tail-drop and PFC.
 
 Used for the InfiniBand cluster topology (the paper's SwitchX-2) and
-for demonstrating *congestion spreading*: when a receiver asserts PAUSE,
-the switch buffers its traffic; once the output buffer fills, the switch
-must pause its own upstream ports, stalling unrelated flows — precisely
-the behaviour the paper's §3 "stream isolation" requirement forbids as
-an rNPF solution.
+for demonstrating *congestion spreading*: when a receiver's port backs
+up, PAUSE-based flow control stalls the switch's own upstream ports,
+throttling unrelated flows — precisely the behaviour the paper's §3
+"stream isolation" requirement forbids as an rNPF solution.
 
-Three queueing modes
---------------------
+Every attached link is an egress port that tracks its own occupancy
+(packets admitted but not yet delivered at the far end).  Two settings
+choose the discipline:
 
-* **legacy** (default, ``egress_queue=None``) — the original model:
-  egress links absorb packets up to their own buffer, and when
-  ``flow_control`` is set the switch pauses *whole upstream links* once
-  an egress backlog reaches ``buffer_per_port``.  Byte-identical to the
-  pre-rack behaviour.
-* **lossy** (``egress_queue=N``) — each egress port tracks its own
-  occupancy (admitted but not yet delivered at the far end) and *drops*
-  packets beyond ``N``: a best-effort Ethernet fabric, the substrate for
-  the go-back-N vs IRN retransmit comparison.
+* **best effort** (``pfc=None``) — ``egress_queue=N`` *drops* packets
+  beyond ``N`` per port: a lossy Ethernet fabric, the substrate for the
+  go-back-N vs IRN retransmit comparison.  ``egress_queue=None`` (the
+  default) sets no cap; only the egress link's own buffer bounds the
+  queue, which is sized to fit, so nothing is dropped.
 * **PFC** (``egress_queue=N`` + ``pfc=PfcConfig(...)``) — per-priority
   PAUSE with hysteresis: when a port's occupancy for priority *p*
   crosses ``xoff``, PFC PAUSE frames go to every registered upstream for
@@ -38,6 +34,8 @@ burst train at a packet boundary, the same datapath a plain 802.3x
 PAUSE exercises.  In-flight packets of a paused priority that were
 already committed to the wire finish normally (real PFC has the same
 one-MTU-plus-cable slack, which is what the xoff/xon headroom is for).
+Both PAUSE and its release are driven by admit and delivery events, so
+a pause always lifts once its port drains; nothing has to poll.
 """
 
 from __future__ import annotations
@@ -64,15 +62,12 @@ class PfcConfig:
 
     xoff: int
     xon: int
-    priorities: int = 8
 
     def __post_init__(self) -> None:
         if self.xoff <= 0:
             raise ValueError("pfc xoff must be positive")
         if not 0 <= self.xon < self.xoff:
             raise ValueError("pfc requires 0 <= xon < xoff (hysteresis)")
-        if self.priorities <= 0:
-            raise ValueError("pfc needs at least one priority level")
 
 
 class _LinkPauseHandle:
@@ -82,12 +77,14 @@ class _LinkPauseHandle:
     priority pauses the whole link; it resumes once no priority is
     paused.  ``pause``/``resume`` return True when a PFC frame was
     actually emitted (a state transition), which is what the switch's
-    pause-storm counters count.
+    pause-storm counters count; stalling the cable itself is what
+    :attr:`Switch.upstream_pauses` counts.
     """
 
-    __slots__ = ("link", "_paused")
+    __slots__ = ("switch", "link", "_paused")
 
-    def __init__(self, link: Link):
+    def __init__(self, switch: "Switch", link: Link):
+        self.switch = switch
         self.link = link
         self._paused: Set[int] = set()
 
@@ -96,6 +93,7 @@ class _LinkPauseHandle:
             return False
         if not self._paused:
             self.link.pause()
+            self.switch.upstream_pauses += 1
         self._paused.add(priority)
         return True
 
@@ -109,23 +107,25 @@ class _LinkPauseHandle:
 
 
 class _EgressPort:
-    """One egress port in lossy/PFC mode: occupancy, staging, PAUSE.
+    """One egress port: occupancy, tail-drop, staging, PAUSE.
 
     Occupancy counts packets admitted but not yet delivered at the far
-    end of the egress link (queue + wire).  The port is both a *source*
-    of PFC frames (``_check_xoff`` on admit, XON on delivery) and a
-    *target* (``pause``/``resume`` called by its downstream switch).
+    end of the egress link (queue + wire).  ``capacity`` is the
+    tail-drop cap (``None``: uncapped; always ``None`` under PFC, which
+    never refuses admission).  The port is both a *source* of PFC
+    frames (``_check_xoff`` on admit, XON on delivery) and a *target*
+    (``pause``/``resume`` called by its downstream switch).
     """
 
     __slots__ = ("switch", "link", "capacity", "pfc", "peer", "occ",
                  "occ_total", "staged", "asserted", "paused_in", "seen",
                  "upstreams")
 
-    def __init__(self, switch: "Switch", link: Link, capacity: int,
-                 pfc: Optional[PfcConfig]):
+    def __init__(self, switch: "Switch", link: Link,
+                 capacity: Optional[int], pfc: Optional[PfcConfig]):
         self.switch = switch
         self.link = link
-        self.capacity = capacity
+        self.capacity = capacity if pfc is None else None
         self.pfc = pfc
         #: far-end node name, recovered from the ``a->b`` link name
         self.peer = link.name.split("->", 1)[1] if "->" in link.name \
@@ -145,7 +145,8 @@ class _EgressPort:
     # -- datapath ----------------------------------------------------------
     def admit(self, packet: Packet) -> bool:
         prio = packet.priority
-        if self.pfc is None and self.occ_total >= self.capacity:
+        cap = self.capacity
+        if cap is not None and self.occ_total >= cap:
             return False  # lossy fabric: tail-drop at the egress queue
         self.seen.add(prio)
         if prio in self.paused_in:
@@ -171,7 +172,7 @@ class _EgressPort:
         if inner is None:
             raise RuntimeError(
                 f"egress {self.link.name!r}: connect the link before "
-                "attaching it in egress-queue mode")
+                "attaching it to a switch")
 
         def deliver(packet: Packet, _inner=inner, _port=self) -> None:
             _port.on_delivered(packet)
@@ -234,18 +235,15 @@ class _EgressPort:
 class Switch:
     """Forwards packets between attached links by destination name."""
 
-    __slots__ = ("env", "name", "flow_control", "buffer_per_port",
-                 "_ports", "_ingress", "forwarded", "dropped",
-                 "upstream_pauses", "egress_queue", "pfc", "_eports",
-                 "_eport_by_link", "_peer_ports", "_pause_handles",
-                 "pfc_pauses", "pfc_resumes")
+    __slots__ = ("env", "name", "forwarded", "dropped", "upstream_pauses",
+                 "egress_queue", "pfc", "_eports", "_eport_by_link",
+                 "_peer_ports", "_pause_handles", "pfc_pauses",
+                 "pfc_resumes")
 
     def __init__(
         self,
         env: Environment,
         name: str = "switch",
-        flow_control: bool = True,
-        buffer_per_port: int = 256,
         egress_queue: Optional[int] = None,
         pfc: Optional[PfcConfig] = None,
     ):
@@ -257,18 +255,14 @@ class Switch:
             raise ValueError("pfc xoff beyond the egress queue never fires")
         self.env = env
         self.name = name
-        self.flow_control = flow_control
-        self.buffer_per_port = buffer_per_port
-        self._ports: Dict[str, Link] = {}       # destination name -> egress link
-        self._ingress: Dict[str, List[Link]] = {}  # dest -> upstream links feeding it
         self.forwarded = 0
         self.dropped = 0
+        #: times this switch stalled a whole host uplink (PFC only)
         self.upstream_pauses = 0
         self.egress_queue = egress_queue
         self.pfc = pfc
-        #: dest name -> egress port (egress-queue modes only, else None)
-        self._eports: Optional[Dict[str, _EgressPort]] = (
-            {} if egress_queue is not None else None)
+        #: dest name -> egress port
+        self._eports: Dict[str, _EgressPort] = {}
         self._eport_by_link: Dict[str, _EgressPort] = {}
         self._peer_ports: Dict[str, _EgressPort] = {}
         self._pause_handles: Dict[str, _LinkPauseHandle] = {}
@@ -276,34 +270,21 @@ class Switch:
         self.pfc_resumes = 0
 
     # -- wiring --------------------------------------------------------------
-    def attach(self, destination: str, egress: Link,
-               deliver_shim: bool = False) -> None:
+    def attach(self, destination: str, egress: Link) -> None:
         """Register the egress link that reaches ``destination``.
 
-        In egress-queue mode every distinct link gets one
-        :class:`_EgressPort` shared by all destinations routed through
-        it; ``deliver_shim`` additionally wraps the link's (already
-        connected) receiver so deliveries decrement port occupancy.
+        Every distinct link gets one :class:`_EgressPort` shared by all
+        destinations routed through it; the first attach wraps the
+        link's (already connected) receiver so deliveries decrement
+        port occupancy.
         """
-        self._ports[destination] = egress
-        if self._eports is None:
-            return
         port = self._eport_by_link.get(egress.name)
         if port is None:
             port = _EgressPort(self, egress, self.egress_queue, self.pfc)
             self._eport_by_link[egress.name] = port
             self._peer_ports[port.peer] = port
-            if deliver_shim:
-                egress.connect(port.make_delivery())
+            egress.connect(port.make_delivery())
         self._eports[destination] = port
-
-    def register_upstream(self, destination: str, ingress: Link) -> None:
-        """Record that ``ingress`` carries traffic towards ``destination``.
-
-        Needed only when modelling congestion spreading: when the egress
-        for ``destination`` saturates, these upstream links get paused.
-        """
-        self._ingress.setdefault(destination, []).append(ingress)
 
     def register_pfc_upstream(self, destination: str, handle) -> None:
         """Register a PFC pause target feeding ``destination``'s port.
@@ -327,84 +308,16 @@ class Switch:
         """A (cached) per-priority pause facade for a host uplink."""
         handle = self._pause_handles.get(ingress.name)
         if handle is None:
-            handle = _LinkPauseHandle(ingress)
+            handle = _LinkPauseHandle(self, ingress)
             self._pause_handles[ingress.name] = handle
         return handle
 
     def receive(self, packet: Packet) -> None:
-        """Ingress handler: forward to the packet's destination port."""
-        eports = self._eports
-        if eports is not None:
-            port = eports.get(packet.dst)
-            if port is None:
-                self.dropped += 1
-            elif port.admit(packet):
-                self.forwarded += 1
-            else:
-                self.dropped += 1
-            return
-        egress = self._ports.get(packet.dst)
-        if egress is None:
+        """Ingress handler: admit the packet at its destination port."""
+        port = self._eports.get(packet.dst)
+        if port is None:
             self.dropped += 1
-            return
-        accepted = egress.send(packet)
-        if accepted:
+        elif port.admit(packet):
             self.forwarded += 1
         else:
             self.dropped += 1
-        if self.flow_control:
-            self._update_backpressure(packet.dst, egress)
-
-    def receive_many(self, packets) -> None:
-        """Bulk ingress: forward a packet train through the switch.
-
-        Maximal same-destination runs traverse as one unit — a single
-        ``Link.send_many`` (which commits them as one serialization
-        train on an idle egress) and a single backpressure probe per
-        run, instead of a forwarding decision + probe per packet.
-        Acceptance and drop accounting are identical to calling
-        :meth:`receive` per packet.
-        """
-        if self._eports is not None:
-            # Egress-queue modes admit per packet: occupancy, PFC
-            # thresholds and tail-drop are all per-packet decisions.
-            for packet in packets:
-                self.receive(packet)
-            return
-        ports = self._ports
-        flow_control = self.flow_control
-        i = 0
-        n = len(packets)
-        while i < n:
-            dst = packets[i].dst
-            j = i + 1
-            while j < n and packets[j].dst == dst:
-                j += 1
-            egress = ports.get(dst)
-            if egress is None:
-                self.dropped += j - i
-            else:
-                accepted = egress.send_many(packets[i:j])
-                self.forwarded += accepted
-                self.dropped += (j - i) - accepted
-                if flow_control:
-                    self._update_backpressure(dst, egress)
-            i = j
-
-    # -- congestion spreading ----------------------------------------------------
-    def _update_backpressure(self, destination: str, egress: Link) -> None:
-        upstreams = self._ingress.get(destination, [])
-        nearly_full = egress.queued_packets >= self.buffer_per_port
-        for upstream in upstreams:
-            if nearly_full and not upstream.is_paused:
-                upstream.pause()
-                self.upstream_pauses += 1
-            elif not nearly_full and upstream.is_paused:
-                upstream.resume()
-
-    def relieve(self) -> None:
-        """Re-evaluate backpressure (call when an egress drains)."""
-        if self._eports is not None:
-            return  # PFC/lossy ports are event-driven; nothing to poll
-        for destination, egress in self._ports.items():
-            self._update_backpressure(destination, egress)

@@ -1,8 +1,6 @@
 """Declarative rack-scale topology builder.
 
-The original fabric helpers (:func:`~repro.net.fabric.connect_back_to_back`,
-:func:`~repro.net.fabric.star`) hand-wired two fixed shapes.  A
-:class:`TopologySpec` instead declares an arbitrary fabric **as data** —
+A :class:`TopologySpec` declares an arbitrary fabric **as data** —
 hosts, switches, link specs and oversubscription budgets — and
 :meth:`TopologySpec.build` turns it into live :class:`~repro.net.link.Link`
 and :class:`~repro.net.switch.Switch` objects with deterministic wiring:
@@ -91,10 +89,10 @@ class SwitchSpec:
     """One switch: port budget, queueing discipline and PFC config.
 
     ``ports`` bounds how many edges may terminate here (0 = unlimited).
-    ``egress_queue`` switches the instance into finite-egress-queue mode
-    (packets beyond the per-port occupancy cap are dropped — a *lossy*
-    fabric); adding ``pfc`` layers per-priority PAUSE backpressure on
-    top, making the fabric lossless up to the PFC thresholds.
+    ``egress_queue`` caps each egress port's occupancy (packets beyond
+    it are dropped — a *lossy* fabric; ``None`` leaves ports uncapped);
+    adding ``pfc`` layers per-priority PAUSE backpressure on top, making
+    the fabric lossless up to the PFC thresholds.
     ``oversubscription`` is a declared ceiling on the ratio of attached
     ingress capacity to any single egress port's rate; builds whose
     wiring exceeds it are rejected (the knob exists so a spec *states*
@@ -103,8 +101,6 @@ class SwitchSpec:
 
     name: str
     ports: int = 0
-    buffer_per_port: int = 256
-    flow_control: bool = True
     egress_queue: Optional[int] = None
     pfc: Optional[PfcConfig] = None
     oversubscription: Optional[float] = None
@@ -339,13 +335,11 @@ class TopologySpec:
         wiring: List[str] = []
         switches: Dict[str, Switch] = {}
         for sw in self.switches:
-            switches[sw.name] = Switch(
-                env, name=sw.name, flow_control=sw.flow_control,
-                buffer_per_port=sw.buffer_per_port,
-                egress_queue=sw.egress_queue, pfc=sw.pfc,
-            )
+            switches[sw.name] = Switch(env, name=sw.name,
+                                       egress_queue=sw.egress_queue, pfc=sw.pfc)
             mode = ("pfc" if sw.pfc is not None
-                    else "lossy" if sw.egress_queue is not None else "legacy")
+                    else "lossy" if sw.egress_queue is not None
+                    else "lossless")
             wiring.append(f"switch {sw.name} mode={mode} "
                           f"queue={sw.egress_queue} ports={sw.ports or '*'}")
 
@@ -391,13 +385,14 @@ class TopologySpec:
                 if nxt is None:
                     continue
                 egress = links[(sw_spec.name, nxt)]
-                sw.attach(dst, egress, deliver_shim=True)
+                sw.attach(dst, egress)
                 wiring.append(f"attach {sw_spec.name}: {dst} via {nxt}")
-        # Upstream registration, for congestion spreading (legacy mode)
-        # and PFC pause targeting, runs as a second pass: a neighbor
+        # PFC pause targets are registered in a second pass: a neighbor
         # switch's egress port towards us only exists once ITS attach
         # pass ran, and with cyclic wiring that can be after ours.
         for sw_spec in self.switches:
+            if sw_spec.pfc is None:
+                continue
             sw = switches[sw_spec.name]
             table = routes[sw_spec.name]
             for dst in self.hosts:
@@ -412,19 +407,14 @@ class TopologySpec:
                         # (possible once the graph has cycles) — no
                         # traffic to pause.
                         continue
-                    ingress = links[(nbr, sw_spec.name)]
-                    if sw_spec.pfc is not None:
-                        if nbr in switches:
-                            handle = switches[nbr].port_towards(sw_spec.name)
-                        else:
-                            handle = sw.link_pause_handle(ingress)
-                        sw.register_pfc_upstream(dst, handle)
-                        wiring.append(f"pfc-upstream {sw_spec.name}: "
-                                      f"{dst} <- {nbr}")
+                    if nbr in switches:
+                        handle = switches[nbr].port_towards(sw_spec.name)
                     else:
-                        sw.register_upstream(dst, ingress)
-                        wiring.append(f"upstream {sw_spec.name}: "
-                                      f"{dst} <- {nbr}")
+                        handle = sw.link_pause_handle(
+                            links[(nbr, sw_spec.name)])
+                    sw.register_pfc_upstream(dst, handle)
+                    wiring.append(f"pfc-upstream {sw_spec.name}: "
+                                  f"{dst} <- {nbr}")
         return Topology(self, switches, links, routes, wiring)
 
 

@@ -362,14 +362,6 @@ class EthernetNic:
             raise RuntimeError(f"NIC {self.name!r} has no attached link")
         self.link.send(packet)
 
-    def transmit_many(self, packets) -> int:
-        """Hand a back-to-back burst to the wire as one serialization
-        train (see :meth:`repro.net.link.Link.send_many`); returns the
-        number of packets the link accepted."""
-        if self.link is None:
-            raise RuntimeError(f"NIC {self.name!r} has no attached link")
-        return self.link.send_many(packets)
-
     # -- services used by channels ----------------------------------------------------
     def driver_service_fault(self, mr, vpn, n_pages, side, channel_name):
         if self.driver is None:

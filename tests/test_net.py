@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.net import Link, Packet, Switch, connect_back_to_back, star
+from repro.net import (Edge, Link, LinkSpec, Packet, PfcConfig, Switch,
+                       SwitchSpec, TopologySpec, connect_back_to_back,
+                       rack_spec)
 from repro.sim import Environment
 from repro.sim.units import Gbps, us
 
@@ -120,8 +122,15 @@ def test_back_to_back_asymmetric_rates():
 def test_switch_forwards_by_destination():
     env = Environment()
     a, b, c = (Sink(env, n) for n in "abc")
-    switch, uplinks = star(env, [a, b, c], rate_bps=10 * Gbps)
-    uplinks["a"].send(Packet("a", "c", size=500))
+    spec = TopologySpec(
+        hosts=("a", "b", "c"),
+        switches=(SwitchSpec("sw"),),
+        edges=tuple(Edge(n, "sw", LinkSpec(rate_bps=10 * Gbps))
+                    for n in "abc"),
+    )
+    topo = spec.build(env, [a, b, c])
+    switch = topo.switches["sw"]
+    topo.link("a", "sw").send(Packet("a", "c", size=500))
     env.run()
     assert len(c.received) == 1
     assert b.received == []
@@ -144,7 +153,7 @@ def test_pause_mid_train_splits_at_packet_boundary():
     link = Link(env, rate_bps=1 * Gbps, propagation_delay=0.0)
     link.connect(sink.receive)
     # 4 x 1250B back-to-back: serialization finishes at 10/20/30/40 us.
-    assert link.send_many([Packet("tx", "rx", size=1250) for _ in range(4)]) == 4
+    assert all(link.send(Packet("tx", "rx", size=1250)) for _ in range(4))
     env.run(until=15 * us)  # packet 1 (ends at 20 us) is mid-wire
     link.pause()
     env.run(until=100 * us)
@@ -162,28 +171,21 @@ def test_pause_mid_train_splits_at_packet_boundary():
     assert link.sent_bytes == 4 * 1250
 
 
-def test_send_many_overflow_parity_with_send():
-    """send_many applies the exact per-packet acceptance rule: same
-    accept count, same drop accounting, same delivery times."""
-    def run(bulk):
-        env = Environment()
-        sink = Sink(env, "rx")
-        link = Link(env, rate_bps=1 * Gbps, buffer_packets=2,
-                    propagation_delay=0.0)
-        link.connect(sink.receive)
-        packets = [Packet("tx", "rx", size=1250) for _ in range(6)]
-        if bulk:
-            accepted = link.send_many(packets)
-        else:
-            accepted = sum(1 for p in packets if link.send(p))
-        dropped = link.dropped_packets
-        env.run()
-        return accepted, dropped, [t for t, _ in sink.received]
-
-    loop = run(bulk=False)
-    many = run(bulk=True)
-    assert many == loop
-    assert many[0] == 3 and many[1] == 3  # idle-start capacity = buffer + 1
+def test_idle_start_accepts_buffer_plus_one():
+    """A burst onto an idle link: the first packet starts serializing at
+    once and the buffer holds the next ``buffer_packets``; the rest drop."""
+    env = Environment()
+    sink = Sink(env, "rx")
+    link = Link(env, rate_bps=1 * Gbps, buffer_packets=2,
+                propagation_delay=0.0)
+    link.connect(sink.receive)
+    accepted = sum(1 for _ in range(6)
+                   if link.send(Packet("tx", "rx", size=1250)))
+    assert accepted == 3
+    assert link.dropped_packets == 3
+    env.run()
+    assert [t for t, _ in sink.received] == pytest.approx(
+        [10 * us, 20 * us, 30 * us])
 
 
 def test_two_links_equal_time_fifo_delivery():
@@ -205,20 +207,35 @@ def test_two_links_equal_time_fifo_delivery():
     assert [p for _, p in sink.received] == [first, second]
 
 
-def test_switch_congestion_spreading():
-    """PAUSE on a hot egress propagates to upstream ports (paper §3)."""
+@pytest.mark.parametrize("pfc", [None, PfcConfig(xoff=48, xon=16)],
+                         ids=["lossless", "pfc"])
+def test_incast_quiesces_with_no_link_paused(pfc):
+    """A 2-to-1 incast through one switch drains completely: once the
+    simulation quiesces no link is left paused, no uplink still holds
+    packets, and every packet sent is delivered or counted as a drop.
+    Under PFC the congested port pauses both uplinks on the way, and
+    still drops nothing."""
     env = Environment()
-    a, b = Sink(env, "a"), Sink(env, "b")
-    switch, uplinks = star(env, [a, b], rate_bps=10 * Gbps)
-    # Find the egress link for b and stall it, as if b asserted PAUSE.
-    egress_b = switch._ports["b"]
-    egress_b.pause()
-    for _ in range(switch.buffer_per_port + 8):
-        switch.receive(Packet("a", "b", size=100))
-    assert uplinks["a"].is_paused  # a's uplink got paused: congestion spread
-    assert switch.upstream_pauses >= 1
-    # Draining the egress lifts the upstream pause.
-    egress_b.resume()
+    senders = [Sink(env, "s0"), Sink(env, "s1")]
+    recv = Sink(env, "recv")
+    spec = rack_spec(2, egress_queue=64 if pfc else None, pfc=pfc)
+    topo = spec.build(env, senders + [recv])
+    switch = topo.switches["sw0"]
+    uplinks = [topo.link(s.name, "sw0") for s in senders]
+    sent = 0
+    for _ in range(2000):
+        for s, uplink in zip(senders, uplinks):
+            uplink.send(Packet(s.name, "recv", size=1500))
+            sent += 1
     env.run()
-    switch.relieve()
-    assert not uplinks["a"].is_paused
+    assert not [name for name, link in topo.links.items() if link.is_paused]
+    assert [u.queued_packets for u in uplinks] == [0, 0]
+    link_drops = sum(link.dropped_packets + link.lost_packets
+                     for link in topo.links.values())
+    assert len(recv.received) + switch.dropped + link_drops == sent
+    if pfc is None:
+        assert switch.upstream_pauses == 0
+    else:
+        assert switch.dropped == link_drops == 0
+        assert len(recv.received) == sent
+        assert switch.upstream_pauses >= 2  # both host uplinks stalled

@@ -33,7 +33,7 @@ def _pfc_port(env, xoff=4, xon=1, queue=16, rate=1 * Gbps):
     downlink.connect(sink.receive)
     sw = Switch(env, "sw0", egress_queue=queue,
                 pfc=PfcConfig(xoff=xoff, xon=xon))
-    sw.attach("recv", downlink, deliver_shim=True)
+    sw.attach("recv", downlink)
     uplink = Link(env, 10 * Gbps, 1e-6, name="s0->sw0")
     uplink.connect(sw.receive)
     sw.register_pfc_upstream("recv", sw.link_pause_handle(uplink))

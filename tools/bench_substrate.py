@@ -241,8 +241,9 @@ def bench_switch_fanout(scale: int) -> int:
     """Burst fan-out through an output-queued switch (8 egress ports).
 
     Every packet pays the switch's forwarding decision and the
-    flow-control backpressure probe (``queued_packets``) on its egress —
-    the per-packet switch costs the burst datapath has to keep cheap.
+    per-port occupancy accounting (admit, then the delivery shim) on its
+    egress — the per-packet switch costs the burst datapath has to keep
+    cheap.
     Packets arrive as one long ingress train round-robined over the
     ports, so each egress serializes a back-to-back train of its own.
     """
@@ -252,7 +253,7 @@ def bench_switch_fanout(scale: int) -> int:
     env = Environment()
     n_ports = 8
     per_port = max(1, scale // n_ports)
-    switch = Switch(env, flow_control=True, buffer_per_port=1 << 30)
+    switch = Switch(env)
 
     class _Sink:
         __slots__ = ("count",)
