@@ -102,7 +102,7 @@ def test_npf_service_flow(benchmark):
         def faults():
             for i in range(500):
                 vpn = base + (i % 512)
-                yield env.process(driver.service_fault(mr, vpn, 1, NpfSide.SEND))
+                yield driver.service_fault_async(mr, vpn, 1, NpfSide.SEND)
                 driver.invalidate(mr, vpn)
 
         env.run(env.process(faults()))

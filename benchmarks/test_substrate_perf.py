@@ -7,17 +7,13 @@ same paths under continuous measurement:
 * DES kernel event dispatch and process churn (``sim.engine``);
 * bulk demand-paging (``AddressSpace.touch_range`` aggregate form);
 * bulk IOMMU translation (``Iommu.translate_range(detail=False)``);
-* streaming stats (``StreamingSummary`` / ``NpfLog(keep_events=False)``);
 * one end-to-end experiment as the integration check.
 """
 
-from repro.core.costs import NpfBreakdown
-from repro.core.npf import NpfEvent, NpfKind, NpfLog, NpfSide
 from repro.experiments.runner import run_experiment
 from repro.iommu import Iommu
 from repro.mem import Memory
 from repro.sim import Environment
-from repro.sim.stats import StreamingSummary
 from repro.sim.units import PAGE_SIZE
 
 
@@ -108,36 +104,6 @@ def test_iommu_translate_range_bulk(benchmark):
         return mapped
 
     assert benchmark(run) == 100 * 128
-
-
-def test_streaming_summary(benchmark):
-    """Online count/sum/min/max + P2 percentiles over 20k samples."""
-
-    def run():
-        s = StreamingSummary()
-        add = s.add
-        for i in range(20_000):
-            add(float(i % 997))
-        return s.count
-
-    assert benchmark(run) == 20_000
-
-
-def test_npf_log_streaming_mode(benchmark):
-    """NpfLog(keep_events=False): record 5k events without retaining them."""
-    breakdown = NpfBreakdown(1.0, 2.0, 3.0, 4.0)
-
-    def run():
-        log = NpfLog(keep_events=False)
-        record = log.record_npf
-        for i in range(5_000):
-            record(NpfEvent(time=float(i), side=NpfSide.SEND,
-                            kind=NpfKind.MINOR, n_pages=1,
-                            breakdown=breakdown))
-        assert not log.npf_events
-        return log.npf_summary().count
-
-    assert benchmark(run) == 5_000
 
 
 def test_e2e_fig3_small(benchmark):

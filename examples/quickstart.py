@@ -33,9 +33,8 @@ def main() -> None:
 
     # 1. The NIC DMAs into the first 16 pages: one batched NPF.
     first_vpn = region.vpns()[0]
-    event = env.run(env.process(
-        driver.service_fault(mr, first_vpn, n_pages=16, side=NpfSide.RECEIVE)
-    ))
+    event = env.run(driver.service_fault_async(
+        mr, first_vpn, n_pages=16, side=NpfSide.RECEIVE))
     print(f"NPF resolved {event.n_pages} pages in {event.latency / us:.0f} us "
           f"({event.kind.value} fault, "
           f"{event.breakdown.hardware_fraction:.0%} hardware time)")
@@ -49,9 +48,8 @@ def main() -> None:
           f"(invalidations so far: {driver.log.invalidation_count})")
 
     # 3. The NIC touches the evicted page again: major fault (swap read).
-    event = env.run(env.process(
-        driver.service_fault(mr, first_vpn, n_pages=1, side=NpfSide.RECEIVE)
-    ))
+    event = env.run(driver.service_fault_async(
+        mr, first_vpn, n_pages=1, side=NpfSide.RECEIVE))
     print(f"re-fault was a {event.kind.value} fault: "
           f"{event.latency * 1000:.1f} ms (includes the disk)")
 

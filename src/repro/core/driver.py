@@ -3,11 +3,15 @@
 ``NpfDriver.service_fault_async`` is the fault flow (steps 1–4):
 interrupt, OS fault-in (minor or major), batched I/O page-table update,
 resume — driven as a chain of event callbacks (one timeout per phase,
-no generator machinery).  ``NpfDriver.service_fault`` is the same flow
-in generator form for process-style composition.
-``NpfDriver.invalidate`` is the invalidation flow (steps a–d), invoked
-from MMU-notifier context when the OS evicts or unmaps a page;
-``NpfDriver.invalidate_range`` is its bulk form.
+no generator machinery); process-style callers ``yield`` its event.
+``NpfDriver.invalidate_range`` is the invalidation flow (steps a–d),
+invoked from MMU-notifier context when the OS evicts or unmaps pages;
+``NpfDriver.invalidate`` is its one-page form.
+
+Each flow has one implementation.  The DMA sanitizer's hooks fire
+inside it from a hoisted ``_hooks.active`` local; no hook site selects
+a different code path, so DMAsan checks the code that produces the
+experiment outputs.
 
 The three §4 optimizations are all here and individually switchable for
 the ablation benchmarks:
@@ -62,12 +66,10 @@ _UNMAPPED = object()
 class _FaultOp:
     """One in-flight NPF service operation (callback pipeline).
 
-    Drives the same four phases as the generator flow — interrupt, OS
-    fault-in, batched PT update, resume — as chained event callbacks:
-    the phase methods below are stored bare as each timeout's
-    ``callbacks`` (see ``engine._NO_WAITERS``).  Heap-push counts, event
-    times and RNG draw order are exactly those of the historical
-    process/generator path, so experiment outputs are bit-identical.
+    Drives the four phases — interrupt, OS fault-in, batched PT update,
+    resume — as chained event callbacks: the phase methods below are
+    stored bare as each timeout's ``callbacks`` (see
+    ``engine._NO_WAITERS``), one timeout per phase.
 
     ``pages is None`` marks the pre-OS window: until ``_resolve`` runs
     (slot acquired), a coalescing driver may still widen
@@ -130,16 +132,7 @@ class _FaultOp:
         costs = driver.costs
         if isinstance(mr, OdpMemoryRegion):
             n_pages = self.n_pages if driver.batch_prefault else 1
-            if n_pages == 1:
-                # Single-page form of unmapped_vpns (range clamp + one
-                # page-table probe), minus two method hops.
-                v = self.vpn
-                if v in mr._vpn_range and v not in mr.domain._entries:
-                    pages = [v]
-                else:
-                    pages = []
-            else:
-                pages = mr.unmapped_vpns(self.vpn, n_pages)
+            pages = mr.unmapped_vpns(self.vpn, n_pages)
         else:
             pages = []
         self.pages = pages
@@ -204,27 +197,14 @@ class _FaultOp:
             mr = self.mr
             pages = self.pages
             translate = mr.space.translate
-            if (len(pages) == 1 and not driver.warm_iotlb
-                    and _hooks.active is None):
-                # Single-entry form of map_batch: same validation, same
-                # page-table state and ``maps`` count, no dict or hops.
-                v = pages[0]
+            entries = {}
+            for v in pages:
                 frame = translate(v)
                 if frame is not None:
-                    if frame < 0:
-                        raise ValueError(f"invalid frame {frame!r}")
-                    domain = mr.domain
-                    domain._entries[v] = frame
-                    domain.maps += 1
-            else:
-                entries = {}
-                for v in pages:
-                    frame = translate(v)
-                    if frame is not None:
-                        entries[v] = frame
-                driver.iommu.map_batch(
-                    mr.domain.domain_id, entries, warm_iotlb=driver.warm_iotlb
-                )
+                    entries[v] = frame
+            driver.iommu.map_batch(
+                mr.domain.domain_id, entries, warm_iotlb=driver.warm_iotlb
+            )
             update_pt = driver.costs.pt_update_batch_time(len(pages))
             self.update_pt = update_pt
             driver.env.after(update_pt, self._resume_phase)
@@ -244,25 +224,14 @@ class _FaultOp:
     # -- completion ---------------------------------------------------------
     def _finish(self, _ev: Event) -> None:
         driver = self.driver
-        log = driver.log
         kind = NpfKind.MAJOR if self.majors else NpfKind.MINOR
-        if log.keep_events:
-            breakdown = NpfBreakdown(
-                self.interrupt, self.driver_time, self.update_pt,
-                self.resume_time, self.swap_latency,
-            )
-            event = NpfEvent(driver.env.now, self.side, kind,
-                             len(self.pages), breakdown, self.channel)
-            log.record_npf(event)
-        else:
-            # Allocation-lean streaming record: same latency sum (same
-            # float association as NpfBreakdown.total), no event object.
-            log.record_npf_total(
-                self.side, kind,
-                self.interrupt + self.driver_time + self.update_pt
-                + self.resume_time + self.swap_latency,
-            )
-            event = None
+        breakdown = NpfBreakdown(
+            self.interrupt, self.driver_time, self.update_pt,
+            self.resume_time, self.swap_latency,
+        )
+        event = NpfEvent(driver.env.now, self.side, kind,
+                         len(self.pages), breakdown, self.channel)
+        driver.log.record_npf(event)
         if self.ckey is not None:
             self._unregister()
         self.slot.release()
@@ -270,20 +239,12 @@ class _FaultOp:
 
     def _finish_empty(self, _ev: Event) -> None:
         driver = self.driver
-        log = driver.log
-        if log.keep_events:
-            breakdown = NpfBreakdown(
-                self.interrupt, self.driver_time, 0.0, self.resume_time,
-            )
-            event = NpfEvent(driver.env.now, self.side, NpfKind.MINOR, 0,
-                             breakdown, self.channel)
-            log.record_npf(event)
-        else:
-            log.record_npf_total(
-                self.side, NpfKind.MINOR,
-                self.interrupt + self.driver_time + self.resume_time,
-            )
-            event = None
+        breakdown = NpfBreakdown(
+            self.interrupt, self.driver_time, 0.0, self.resume_time,
+        )
+        event = NpfEvent(driver.env.now, self.side, NpfKind.MINOR, 0,
+                         breakdown, self.channel)
+        driver.log.record_npf(event)
         if self.ckey is not None:
             self._unregister()
         self.slot.release()
@@ -389,7 +350,7 @@ class NpfDriver:
         channel: str = "",
     ) -> Event:
         """The full NPF service flow; returns an :class:`Event` that fires
-        with the :class:`NpfEvent` (or ``None`` in streaming-log mode).
+        with the :class:`NpfEvent`.
 
         ``n_pages`` is the extent of the triggering work request starting
         at ``vpn``; with batching enabled, every still-unmapped page of
@@ -441,116 +402,30 @@ class NpfDriver:
                 return op.done
         return None
 
-    def service_fault(
-        self,
-        mr: MemoryRegion,
-        vpn: int,
-        n_pages: int = 1,
-        side: NpfSide = NpfSide.RECEIVE,
-        channel: str = "",
-    ):
-        """Generator form of :meth:`service_fault_async` (same phases,
-        same costs, same log records); returns the :class:`NpfEvent`.
-
-        Kept for process-style composition (``env.process(...)``); the
-        hot NIC datapaths yield the async event directly.
-        """
-        event = yield self.service_fault_async(mr, vpn, n_pages, side, channel)
-        return event
-
     # -- invalidation flow (Figure 2, right) -----------------------------------------
     def invalidate(self, mr: MemoryRegion, vpn: int) -> float:
-        """Tear down one I/O PTE; returns the latency to charge the evictor.
-
-        The common path below is the inlined form of
-        ``iommu.unmap`` + ``costs.invalidation_breakdown`` +
-        ``log.record_invalidation`` — same state transitions, counters,
-        RNG draws and float association, minus the call chain.  Falls
-        back to the composed path when the DMA sanitizer is active so
-        its unmap hooks fire.
-        """
-        if _hooks.active is not None:
-            was_mapped = self.iommu.unmap(mr.domain.domain_id, vpn)
-            breakdown = self.costs.invalidation_breakdown(was_mapped)
-            self.log.record_invalidation(
-                InvalidationEvent(self.env.now, vpn, was_mapped, breakdown)
-            )
-            return breakdown.total
-        costs = self.costs
-        log = self.log
-        iommu = self.iommu
-        domain_id = mr.domain.domain_id
-        table = iommu._domains[domain_id]
-        entries = table._entries
-        if vpn in entries:
-            del entries[vpn]
-            table.unmaps += 1
-            iotlb = iommu.iotlb
-            iotlb.invalidations += 1
-            iotlb._cache.pop((domain_id, vpn), None)
-            rng = costs.rng
-            if rng is None:
-                upd = costs.inv_update_pt
-            else:
-                # Inlined _jitter (see costs.NpfCosts._jitter): same
-                # Kinderman-Monahan draws, same stream position.
-                rand = rng._random.random
-                while True:
-                    u1 = rand()
-                    u2 = 1.0 - rand()
-                    z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                    if z * z / 4.0 <= -_log(u2):
-                        break
-                upd = costs.inv_update_pt * _exp(z * costs.jitter_sigma)
-                if rand() < costs.slow_path_probability:
-                    upd *= costs.slow_path_multiplier
-            latency = costs.inv_checks + upd + costs.inv_updates
-            log.invalidation_count += 1
-            if log.keep_events:
-                log.invalidation_events.append(InvalidationEvent(
-                    self.env.now, vpn, True,
-                    InvalidationBreakdown(costs.inv_checks, upd,
-                                          costs.inv_updates),
-                ))
-            else:
-                log._stream_invalidation.add(latency)
-            return latency
-        latency = costs.inv_checks + 0.0 + 0.0
-        log.invalidation_count += 1
-        if log.keep_events:
-            log.invalidation_events.append(InvalidationEvent(
-                self.env.now, vpn, False,
-                InvalidationBreakdown(costs.inv_checks, 0.0, 0.0),
-            ))
-        else:
-            log._stream_invalidation.add(latency)
-        return latency
+        """Tear down one I/O PTE; returns the latency to charge the evictor."""
+        return self.invalidate_range(mr, vpn, 1)
 
     def invalidate_range(self, mr: MemoryRegion, vpn: int, n_pages: int) -> float:
-        """Tear down a run of I/O PTEs (bulk form of repeated
-        :meth:`invalidate` calls); returns the summed latency.
+        """Tear down a run of I/O PTEs; returns the summed latency.
 
-        Per-page latencies, RNG draws, IOTLB shootdown accounting and log
-        records are exactly those of the per-page loop — outputs are
-        bit-identical — with the dispatch overhead hoisted out.  Falls
-        back to the per-page path when the DMA sanitizer is active so
-        every unmap is individually checked.
+        Per page this is ``iommu.unmap`` + ``costs.invalidation_breakdown``
+        + ``log.record_invalidation`` — same state transitions, counters,
+        RNG draws, float association and sanitizer hooks (``on_pt_unmap``
+        after the PTE goes, ``on_iommu_unmap`` after the shootdown) —
+        with the call chain and attribute lookups hoisted out of the loop.
         """
         if n_pages <= 0:
             return 0.0
-        if _hooks.active is not None:
-            total = 0.0
-            for v in range(vpn, vpn + n_pages):
-                total += self.invalidate(mr, v)
-            return total
+        san = _hooks.active
         costs = self.costs
         log = self.log
-        keep = log.keep_events
+        iommu = self.iommu
         now = self.env.now
         domain_id = mr.domain.domain_id
-        table = self.iommu._domains[domain_id]
-        entries = table._entries
-        iotlb = self.iommu.iotlb
+        table = iommu._domains[domain_id]
+        iotlb = iommu.iotlb
         iotlb_cache = iotlb._cache
         iotlb_pop = iotlb_cache.pop
         rng = costs.rng
@@ -561,38 +436,34 @@ class NpfDriver:
         sigma = costs.jitter_sigma
         slow_p = costs.slow_path_probability
         slow_mult = costs.slow_path_multiplier
-        if keep:
-            record_event = log.invalidation_events.append
-            # Never-mapped pages all share one constant breakdown (checks
-            # only) — the values are identical, no per-page allocation.
-            cheap = InvalidationBreakdown(checks=checks, update_pt=0.0, updates=0.0)
-        else:
-            # Buffer the per-page latencies and hand them to the summary
-            # in one add_many pass (same per-sample order, less dispatch).
-            stream_buf: list = []
-            stream_add = stream_buf.append
+        record_event = log.invalidation_events.append
+        # Never-mapped pages all share one constant breakdown (checks
+        # only) — the values are identical, no per-page allocation.
+        cheap = InvalidationBreakdown(checks=checks, update_pt=0.0, updates=0.0)
         total = 0.0
         unmapped_count = 0
         # Hot-loop locals: one dict.pop replaces the contains+del pair,
         # the IOTLB shootdown is skipped while the cache is empty (a pop
         # from an empty cache is a no-op either way), and the miss
         # latency is the same constant every iteration.
-        entries_pop = entries.pop
+        entries_pop = table._entries.pop
         miss_latency = checks + 0.0 + 0.0
         make_event = InvalidationEvent
         make_breakdown = InvalidationBreakdown
         for v in range(vpn, vpn + n_pages):
             if entries_pop(v, _UNMAPPED) is not _UNMAPPED:
                 unmapped_count += 1
+                if san is not None:
+                    san.on_pt_unmap(table, v)
                 if iotlb_cache:
                     iotlb_pop((domain_id, v), None)
                 if rand is None:
                     upd = base_update
                 else:
-                    # Inlined random.lognormvariate(0.0, sigma): the
-                    # Kinderman-Monahan loop below is CPython's
-                    # normalvariate() verbatim, so it consumes the same
-                    # uniform draws and yields the same float.
+                    # Inlined NpfCosts._jitter (random.lognormvariate(0.0,
+                    # sigma)): the Kinderman-Monahan loop below is
+                    # CPython's normalvariate() verbatim, so it consumes
+                    # the same uniform draws and yields the same float.
                     while True:
                         u1 = rand()
                         u2 = 1.0 - rand()
@@ -605,23 +476,15 @@ class NpfDriver:
                     upd = base_update * _exp(z * sigma)
                     if rand() < slow_p:
                         upd *= slow_mult
-                latency = checks + upd + updates
-                if keep:
-                    record_event(make_event(
-                        now, v, True,
-                        make_breakdown(checks, upd, updates),
-                    ))
-                else:
-                    stream_add(latency)
-                total += latency
+                record_event(make_event(
+                    now, v, True, make_breakdown(checks, upd, updates),
+                ))
+                total += checks + upd + updates
             else:
-                if keep:
-                    record_event(make_event(now, v, False, cheap))
-                else:
-                    stream_add(miss_latency)
+                record_event(make_event(now, v, False, cheap))
                 total += miss_latency
-        if not keep:
-            log._stream_invalidation.add_many(stream_buf)
+            if san is not None:
+                san.on_iommu_unmap(iommu, domain_id, v, 1)
         table.unmaps += unmapped_count
         iotlb.invalidations += unmapped_count
         log.invalidation_count += n_pages

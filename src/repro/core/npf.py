@@ -3,17 +3,17 @@
 These are the observable artifacts of the paper's mechanism: every
 fault serviced by the driver produces an :class:`NpfEvent` with its
 Figure 3 breakdown, and every MMU-notifier invalidation produces an
-:class:`InvalidationEvent`.  Experiments aggregate them for Figure 3 and
-Table 4.
+:class:`InvalidationEvent`.  :class:`NpfLog` keeps every record;
+experiments aggregate them for Figure 3 and Table 4.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..sim.stats import StreamingSummary, Summary
+from ..sim.stats import Summary
 from .costs import InvalidationBreakdown, NpfBreakdown
 
 __all__ = ["NpfKind", "NpfSide", "NpfEvent", "InvalidationEvent", "NpfLog"]
@@ -66,34 +66,19 @@ class InvalidationEvent:
 
 
 class NpfLog:
-    """Accumulates fault and invalidation events for the experiments.
+    """Accumulates every fault and invalidation event for the experiments.
 
-    Two modes:
-
-    * ``keep_events=True`` (default) retains every :class:`NpfEvent` /
-      :class:`InvalidationEvent` — experiments slice them freely and
-      compute exact percentiles.
-    * ``keep_events=False`` is the streaming mode for benchmarks and
-      long soak runs: events are dropped after updating bounded-memory
-      :class:`~repro.sim.stats.StreamingSummary` accumulators (online
-      count/sum/min/max plus P² percentile estimates), overall and
-      per side.
+    Every :class:`NpfEvent` / :class:`InvalidationEvent` is retained, so
+    experiments slice them freely and compute exact percentiles.
     """
 
-    def __init__(self, keep_events: bool = True):
-        self.keep_events = keep_events
+    def __init__(self):
         self.npf_events: List[NpfEvent] = []
         self.invalidation_events: List[InvalidationEvent] = []
         self.npf_count = 0
         self.minor_count = 0
         self.major_count = 0
         self.invalidation_count = 0
-        self._stream_all: Optional[StreamingSummary] = None
-        self._stream_by_side: Dict[NpfSide, StreamingSummary] = {}
-        self._stream_invalidation: Optional[StreamingSummary] = None
-        if not keep_events:
-            self._stream_all = StreamingSummary()
-            self._stream_invalidation = StreamingSummary()
 
     def record_npf(self, event: NpfEvent) -> None:
         self.npf_count += 1
@@ -101,54 +86,11 @@ class NpfLog:
             self.major_count += 1
         else:
             self.minor_count += 1
-        if self.keep_events:
-            self.npf_events.append(event)
-            return
-        latency = event.breakdown.total
-        self._stream_all.add(latency)
-        per_side = self._stream_by_side.get(event.side)
-        if per_side is None:
-            per_side = self._stream_by_side[event.side] = StreamingSummary()
-        per_side.add(latency)
+        self.npf_events.append(event)
 
     def record_invalidation(self, event: InvalidationEvent) -> None:
         self.invalidation_count += 1
-        if self.keep_events:
-            self.invalidation_events.append(event)
-        else:
-            self._stream_invalidation.add(event.breakdown.total)
-
-    # -- allocation-lean streaming entry points -------------------------------
-    # The batched fault-service pipeline uses these when ``keep_events``
-    # is off: the caller passes the already-summed latency so no
-    # NpfEvent / breakdown objects are allocated per fault.
-
-    def record_npf_total(self, side: NpfSide, kind: NpfKind, latency: float) -> None:
-        """Streaming-mode record of one serviced fault (no event object).
-
-        Updates the same counters and the same :class:`StreamingSummary`
-        accumulators as :meth:`record_npf` would for an equivalent event.
-        Only valid with ``keep_events=False``.
-        """
-        if self.keep_events:
-            raise ValueError("record_npf_total requires keep_events=False")
-        self.npf_count += 1
-        if kind is NpfKind.MAJOR:
-            self.major_count += 1
-        else:
-            self.minor_count += 1
-        self._stream_all.add(latency)
-        per_side = self._stream_by_side.get(side)
-        if per_side is None:
-            per_side = self._stream_by_side[side] = StreamingSummary()
-        per_side.add(latency)
-
-    def record_invalidation_total(self, latency: float) -> None:
-        """Streaming-mode record of one invalidation (no event object)."""
-        if self.keep_events:
-            raise ValueError("record_invalidation_total requires keep_events=False")
-        self.invalidation_count += 1
-        self._stream_invalidation.add(latency)
+        self.invalidation_events.append(event)
 
     def latencies(self, side: Optional[NpfSide] = None) -> List[float]:
         return [
@@ -160,25 +102,10 @@ class NpfLog:
     def npf_summary(self, side: Optional[NpfSide] = None) -> Summary:
         """Latency summary of serviced NPFs, overall or for one side.
 
-        Works in both modes: exact percentiles when events are retained,
-        P² estimates in streaming mode.  Raises ``ValueError`` when no
-        matching fault has been recorded.
+        Raises ``ValueError`` when no matching fault has been recorded.
         """
-        if self.keep_events:
-            return Summary.of(self.latencies(side))
-        if side is None:
-            stream = self._stream_all
-        else:
-            stream = self._stream_by_side.get(side)
-        if stream is None or not stream.count:
-            raise ValueError("summary of empty sample set")
-        return stream.summary()
+        return Summary.of(self.latencies(side))
 
     def invalidation_summary(self) -> Summary:
-        """Latency summary of MMU-notifier invalidations (both modes)."""
-        if self.keep_events:
-            return Summary.of([ev.latency for ev in self.invalidation_events])
-        stream = self._stream_invalidation
-        if stream is None or not stream.count:
-            raise ValueError("summary of empty sample set")
-        return stream.summary()
+        """Latency summary of MMU-notifier invalidations."""
+        return Summary.of([ev.latency for ev in self.invalidation_events])

@@ -261,7 +261,6 @@ class TopologySpec:
 
     def _check_routable(self) -> None:
         routes = self.compute_routes()
-        switch_names = [s.name for s in self.switches]
         for src in self.hosts:
             for dst in self.hosts:
                 if src == dst:
@@ -278,7 +277,6 @@ class TopologySpec:
                     if hops > len(self.edges) + 1:
                         raise TopologyError(
                             f"routing loop between {src!r} and {dst!r}")
-        del switch_names
 
     # -- routing ----------------------------------------------------------------
     def compute_routes(self) -> Dict[str, Dict[str, str]]:

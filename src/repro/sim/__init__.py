@@ -10,11 +10,10 @@ from .engine import (
     all_of,
     any_of,
 )
-from .queues import PriorityStore, Store, StoreFull
-from .resources import Gate, Resource
+from .queues import Store, StoreFull
+from .resources import Resource
 from .rng import Rng
-from .stats import (Counter, P2Quantile, RateMeter, StreamingSummary,
-                    Summary, TimeSeries, percentile)
+from .stats import RateMeter, Summary, TimeSeries, percentile
 from . import units
 
 __all__ = [
@@ -27,15 +26,10 @@ __all__ = [
     "all_of",
     "any_of",
     "Store",
-    "PriorityStore",
     "StoreFull",
     "Resource",
-    "Gate",
     "Rng",
-    "Counter",
     "RateMeter",
-    "P2Quantile",
-    "StreamingSummary",
     "Summary",
     "TimeSeries",
     "percentile",

@@ -2,20 +2,19 @@
 
 :class:`Store` is an unbounded-or-bounded FIFO channel: producers
 ``put`` items, consumers ``get`` them; both sides block (as simulation
-events) when the store is full or empty.  :class:`PriorityStore` pops the
-smallest item first.  These are the building blocks for NIC completion
-queues, driver work queues and the IOprovider's per-IOuser fault queues.
+events) when the store is full or empty.  It is the building block for
+NIC completion queues, driver work queues and the IOprovider's
+per-IOuser fault queues.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Deque, Generic, List, Optional, TypeVar
+from typing import Deque, Generic, Optional, TypeVar
 
 from .engine import Environment, Event, SimulationError
 
-__all__ = ["Store", "PriorityStore", "StoreFull"]
+__all__ = ["Store", "StoreFull"]
 
 T = TypeVar("T")
 
@@ -77,7 +76,7 @@ class Store(Generic[T]):
         already accepted stay accepted.
         """
         getters = self._getters
-        store = self._store
+        store = self._items.append
         for item in items:
             if getters:
                 getters.popleft().succeed(item)
@@ -90,7 +89,7 @@ class Store(Generic[T]):
         """Pop the next item, or return ``None`` if empty."""
         if not self._items:
             return None
-        item = self._pop()
+        item = self._items.popleft()
         self._wake_putter()
         return item
 
@@ -112,7 +111,7 @@ class Store(Generic[T]):
         """Event that fires with the next item."""
         ev = self.env.event()
         if self._items:
-            ev.succeed(self._pop())
+            ev.succeed(self._items.popleft())
             self._wake_putter()
         else:
             self._getters.append(ev)
@@ -123,61 +122,10 @@ class Store(Generic[T]):
         if self._getters:
             self._getters.popleft().succeed(item)
         else:
-            self._store(item)
+            self._items.append(item)
 
     def _wake_putter(self) -> None:
         if self._putters and not self.is_full:
             ev, item = self._putters.popleft()
-            self._store(item)
+            self._items.append(item)
             ev.succeed()
-
-    # Storage policy hooks (overridden by PriorityStore).
-    def _store(self, item: T) -> None:
-        self._items.append(item)
-
-    def _pop(self) -> T:
-        return self._items.popleft()
-
-
-class PriorityStore(Store[T]):
-    """A :class:`Store` that always pops the smallest item first."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        super().__init__(env, capacity)
-        self._heap: List[T] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._heap
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._heap) >= self.capacity
-
-    def peek(self) -> Optional[T]:
-        return self._heap[0] if self._heap else None
-
-    def get_nowait(self) -> Optional[T]:
-        if not self._heap:
-            return None
-        item = self._pop()
-        self._wake_putter()
-        return item
-
-    def get(self) -> Event:
-        ev = self.env.event()
-        if self._heap:
-            ev.succeed(self._pop())
-            self._wake_putter()
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def _store(self, item: T) -> None:
-        heapq.heappush(self._heap, item)
-
-    def _pop(self) -> T:
-        return heapq.heappop(self._heap)

@@ -3,7 +3,6 @@
 :class:`Resource` models a pool of identical units (CPU cores, DMA
 engines, outstanding-fault slots).  Processes ``acquire`` units and
 ``release`` them; acquisition blocks while the pool is exhausted.
-:class:`Gate` is a level-triggered condition processes can wait on.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Deque
 
 from .engine import Environment, Event, SimulationError
 
-__all__ = ["Resource", "Gate"]
+__all__ = ["Resource"]
 
 
 class Resource:
@@ -65,38 +64,3 @@ class Resource:
             self._waiters.popleft().succeed(self)
         else:
             self._in_use -= 1
-
-
-class Gate:
-    """Level-triggered condition: processes wait until the gate is open.
-
-    Unlike an :class:`~repro.sim.engine.Event`, a gate can be closed and
-    reopened repeatedly.  Waiting on an open gate completes immediately.
-    """
-
-    def __init__(self, env: Environment, open_: bool = False):
-        self.env = env
-        self._open = open_
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def open(self) -> None:
-        """Open the gate and release every waiter."""
-        self._open = True
-        while self._waiters:
-            self._waiters.popleft().succeed()
-
-    def close(self) -> None:
-        self._open = False
-
-    def wait(self) -> Event:
-        """Event that fires as soon as the gate is (or becomes) open."""
-        ev = self.env.event()
-        if self._open:
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev

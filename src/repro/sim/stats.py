@@ -1,4 +1,4 @@
-"""Measurement helpers: counters, time series and percentile summaries.
+"""Measurement helpers: percentile summaries, time series and rate meters.
 
 The experiment harness reports the same rows/series the paper does;
 these classes are the common vocabulary it uses to collect them.
@@ -7,17 +7,14 @@ these classes are the common vocabulary it uses to collect them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 __all__ = [
     "percentile",
     "Summary",
-    "P2Quantile",
-    "StreamingSummary",
     "TimeSeries",
     "RateMeter",
-    "Counter",
 ]
 
 
@@ -63,250 +60,6 @@ class Summary:
             p99=percentile(samples, 99),
             maximum=max(samples),
             minimum=min(samples),
-        )
-
-
-class P2Quantile:
-    """Streaming quantile estimate via the P² algorithm (Jain & Chlamtac,
-    CACM 1985).
-
-    Keeps five markers whose heights track the quantile without storing
-    samples; exact for the first five observations, O(1) per update
-    thereafter.  Accuracy is more than sufficient for latency
-    percentiles in benchmark/streaming mode — exact percentiles remain
-    available from :class:`Summary` when events are retained.
-
-    All marker state lives in scalar slots (no per-add list traffic):
-    heights ``h0..h4``, interior positions ``n1..n3`` (``positions[0]``
-    is pinned at 1 and ``positions[4]`` always equals the sample count),
-    interior desired positions ``d1..d3`` accumulated with the constant
-    increments ``i1..i3``.  The arithmetic — interval search, position
-    and desired updates, parabolic adjustment with linear fallback — is
-    the classic formulation evaluated in the same order, so estimates
-    are bit-identical to the list-based version this replaces.
-    """
-
-    __slots__ = (
-        "p", "_boot", "_count",
-        "_h0", "_h1", "_h2", "_h3", "_h4",
-        "_n1", "_n2", "_n3",
-        "_d1", "_d2", "_d3",
-        "_i1", "_i2", "_i3",
-    )
-
-    def __init__(self, p: float):
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile must be in (0, 1): {p!r}")
-        self.p = p
-        self._boot: Optional[List[float]] = []
-        self._count = 0
-        self._h0 = self._h1 = self._h2 = self._h3 = self._h4 = 0.0
-        self._n1, self._n2, self._n3 = 2, 3, 4
-        self._d1 = 1.0 + 2.0 * p
-        self._d2 = 1.0 + 4.0 * p
-        self._d3 = 3.0 + 2.0 * p
-        self._i1 = p / 2.0
-        self._i2 = p
-        self._i3 = (1.0 + p) / 2.0
-
-    def add(self, x: float) -> None:
-        count = self._count + 1
-        self._count = count
-        if count <= 5:
-            boot = self._boot
-            boot.append(x)
-            boot.sort()
-            if count == 5:
-                self._h0, self._h1, self._h2, self._h3, self._h4 = boot
-                self._boot = None
-            return
-        h0 = self._h0
-        h1 = self._h1
-        h2 = self._h2
-        h3 = self._h3
-        h4 = self._h4
-        # Find the marker interval containing x, clamping the extremes.
-        if x < h0:
-            h0 = self._h0 = x
-            k = 0
-        elif x >= h4:
-            h4 = self._h4 = x
-            k = 3
-        elif x < h1:
-            k = 0
-        elif x < h2:
-            k = 1
-        elif x < h3:
-            k = 2
-        else:
-            k = 3
-        n1 = self._n1
-        n2 = self._n2
-        n3 = self._n3
-        if k < 3:
-            n3 += 1
-            if k < 2:
-                n2 += 1
-                if k < 1:
-                    n1 += 1
-        n4 = count  # positions[4] tracks the sample count exactly
-        d1 = self._d1 = self._d1 + self._i1
-        d2 = self._d2 = self._d2 + self._i2
-        d3 = self._d3 = self._d3 + self._i3
-        # Adjust the three interior markers with parabolic interpolation,
-        # falling back to linear when the parabola leaves the interval.
-        # Marker i reads marker i-1's already-updated height/position.
-        d = d1 - n1
-        if (d >= 1.0 and n2 - n1 > 1) or (d <= -1.0 and 1 - n1 < -1):
-            step = 1 if d >= 1.0 else -1
-            parabolic = h1 + step / (n2 - 1) * (
-                (n1 - 1 + step) * (h2 - h1) / (n2 - n1)
-                + (n2 - n1 - step) * (h1 - h0) / (n1 - 1)
-            )
-            if h0 < parabolic < h2:
-                h1 = parabolic
-            elif step == 1:
-                h1 = h1 + step * ((h2 - h1) / (n2 - n1))
-            else:
-                h1 = h1 + step * ((h0 - h1) / (1 - n1))
-            n1 += step
-        d = d2 - n2
-        if (d >= 1.0 and n3 - n2 > 1) or (d <= -1.0 and n1 - n2 < -1):
-            step = 1 if d >= 1.0 else -1
-            parabolic = h2 + step / (n3 - n1) * (
-                (n2 - n1 + step) * (h3 - h2) / (n3 - n2)
-                + (n3 - n2 - step) * (h2 - h1) / (n2 - n1)
-            )
-            if h1 < parabolic < h3:
-                h2 = parabolic
-            elif step == 1:
-                h2 = h2 + step * ((h3 - h2) / (n3 - n2))
-            else:
-                h2 = h2 + step * ((h1 - h2) / (n1 - n2))
-            n2 += step
-        d = d3 - n3
-        if (d >= 1.0 and n4 - n3 > 1) or (d <= -1.0 and n2 - n3 < -1):
-            step = 1 if d >= 1.0 else -1
-            parabolic = h3 + step / (n4 - n2) * (
-                (n3 - n2 + step) * (h4 - h3) / (n4 - n3)
-                + (n4 - n3 - step) * (h3 - h2) / (n3 - n2)
-            )
-            if h2 < parabolic < h4:
-                h3 = parabolic
-            elif step == 1:
-                h3 = h3 + step * ((h4 - h3) / (n4 - n3))
-            else:
-                h3 = h3 + step * ((h2 - h3) / (n2 - n3))
-            n3 += step
-        self._h1 = h1
-        self._h2 = h2
-        self._h3 = h3
-        self._n1 = n1
-        self._n2 = n2
-        self._n3 = n3
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def value(self) -> float:
-        count = self._count
-        if not count:
-            raise ValueError("quantile of empty sample set")
-        if count < 5:
-            # Fewer than five samples: exact interpolated percentile.
-            return percentile(self._boot, self.p * 100.0)
-        return self._h2
-
-
-class StreamingSummary:
-    """Online count/sum/min/max/mean with P² percentile estimates.
-
-    A bounded-memory stand-in for :class:`Summary` when retaining every
-    sample is too expensive (``NpfLog(keep_events=False)``, benchmark
-    loops).  Percentiles are estimates; count/sum/mean/min/max are exact.
-    """
-
-    __slots__ = ("count", "total", "minimum", "maximum", "_q50", "_q95", "_q99")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-        self._q50 = P2Quantile(0.50)
-        self._q95 = P2Quantile(0.95)
-        self._q99 = P2Quantile(0.99)
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        self.total += x
-        if x < self.minimum:
-            self.minimum = x
-        if x > self.maximum:
-            self.maximum = x
-        self._q50.add(x)
-        self._q95.add(x)
-        self._q99.add(x)
-
-    def add_many(self, xs: Sequence[float]) -> None:
-        """Bulk :meth:`add`: one pass, hoisted attribute traffic.
-
-        Every sample goes through the same operations in the same order
-        as repeated ``add`` calls — the running total accumulates
-        left-to-right and each P² marker sees the samples in sequence —
-        so the result is bit-identical, just cheaper per sample.
-        """
-        if not xs:
-            return
-        self.count += len(xs)
-        total = self.total
-        minimum = self.minimum
-        maximum = self.maximum
-        q50_add = self._q50.add
-        q95_add = self._q95.add
-        q99_add = self._q99.add
-        for x in xs:
-            total += x
-            if x < minimum:
-                minimum = x
-            if x > maximum:
-                maximum = x
-            q50_add(x)
-            q95_add(x)
-            q99_add(x)
-        self.total = total
-        self.minimum = minimum
-        self.maximum = maximum
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def p50(self) -> float:
-        return self._q50.value()
-
-    @property
-    def p95(self) -> float:
-        return self._q95.value()
-
-    @property
-    def p99(self) -> float:
-        return self._q99.value()
-
-    def summary(self) -> Summary:
-        """Freeze into a :class:`Summary` (percentiles are P² estimates)."""
-        if not self.count:
-            raise ValueError("summary of empty sample set")
-        return Summary(
-            count=self.count,
-            mean=self.mean,
-            p50=self.p50,
-            p95=self.p95,
-            p99=self.p99,
-            maximum=self.maximum,
-            minimum=self.minimum,
         )
 
 
@@ -367,23 +120,3 @@ class RateMeter:
         self.series.record(now, rate)
         self._accumulated = 0.0
         return rate
-
-
-@dataclass
-class Counter:
-    """A named bag of monotonically increasing counters."""
-
-    counts: Dict[str, float] = field(default_factory=dict)
-
-    def add(self, key: str, amount: float = 1.0) -> None:
-        self.counts[key] = self.counts.get(key, 0.0) + amount
-
-    def get(self, key: str) -> float:
-        return self.counts.get(key, 0.0)
-
-    def merge(self, other: "Counter") -> None:
-        for key, value in other.counts.items():
-            self.add(key, value)
-
-    def items(self) -> Iterable[Tuple[str, float]]:
-        return sorted(self.counts.items())

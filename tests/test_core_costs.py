@@ -104,16 +104,16 @@ def _event(latency_parts, side, kind, t=0.0):
                     breakdown=NpfBreakdown(*latency_parts))
 
 
-def test_npf_log_streaming_mode_drops_events_keeps_summaries():
+def test_npf_log_counts_and_side_summaries():
     from repro.core.npf import NpfKind, NpfLog, NpfSide
 
-    log = NpfLog(keep_events=False)
+    log = NpfLog()
     for i in range(100):
         side = NpfSide.SEND if i % 2 else NpfSide.RECEIVE
         kind = NpfKind.MAJOR if i % 10 == 0 else NpfKind.MINOR
         log.record_npf(_event((1.0, 2.0, 3.0, 4.0, float(i)), side, kind,
                               t=float(i)))
-    assert log.npf_events == []                 # nothing retained
+    assert len(log.npf_events) == 100           # every event retained
     assert log.npf_count == 100
     assert log.major_count == 10
     assert log.minor_count == 90
@@ -127,38 +127,19 @@ def test_npf_log_streaming_mode_drops_events_keeps_summaries():
         log.npf_summary(NpfSide.RDMA_READ_INITIATOR)
 
 
-def test_npf_log_summary_agrees_across_modes():
-    from repro.core.npf import NpfKind, NpfLog, NpfSide
-
-    kept = NpfLog(keep_events=True)
-    stream = NpfLog(keep_events=False)
-    rng = Rng(5)
-    for i in range(2_000):
-        ev = _event((rng.uniform(1.0, 5.0), 2.0, 3.0, 4.0),
-                    NpfSide.SEND, NpfKind.MINOR, t=float(i))
-        kept.record_npf(ev)
-        stream.record_npf(ev)
-    exact = kept.npf_summary(NpfSide.SEND)
-    est = stream.npf_summary(NpfSide.SEND)
-    assert est.count == exact.count
-    assert est.minimum == exact.minimum
-    assert est.maximum == exact.maximum
-    assert est.mean == pytest.approx(exact.mean)
-    assert est.p50 == pytest.approx(exact.p50, rel=0.05)
-    assert est.p95 == pytest.approx(exact.p95, rel=0.05)
-
-
-def test_npf_log_streaming_invalidations():
+def test_npf_log_invalidation_summary():
     from repro.core.costs import InvalidationBreakdown
     from repro.core.npf import InvalidationEvent, NpfLog
 
-    log = NpfLog(keep_events=False)
+    log = NpfLog()
+    with pytest.raises(ValueError):
+        log.invalidation_summary()
     for i in range(10):
         log.record_invalidation(InvalidationEvent(
             time=float(i), vpn=i, was_mapped=True,
             breakdown=InvalidationBreakdown(1.0, 2.0, float(i)),
         ))
-    assert log.invalidation_events == []
+    assert len(log.invalidation_events) == 10
     assert log.invalidation_count == 10
     summary = log.invalidation_summary()
     assert summary.count == 10

@@ -84,7 +84,7 @@ def test_odp_fault_service_maps_pages():
     region = space.mmap(4 * PAGE_SIZE)
     mr = driver.register_odp(space, region)
     vpn0 = region.vpns()[0]
-    event = env.run(env.process(driver.service_fault(mr, vpn0, n_pages=1)))
+    event = env.run(driver.service_fault_async(mr, vpn0, n_pages=1))
     assert event.kind is NpfKind.MINOR
     assert event.n_pages == 1
     assert not mr.translate(vpn0).fault
@@ -98,7 +98,7 @@ def test_odp_batched_prefault_covers_work_request():
     region = space.mmap(4 * PAGE_SIZE)
     mr = driver.register_odp(space, region)
     vpn0 = region.vpns()[0]
-    event = env.run(env.process(driver.service_fault(mr, vpn0, n_pages=4)))
+    event = env.run(driver.service_fault_async(mr, vpn0, n_pages=4))
     assert event.n_pages == 4
     for vpn in region.vpns():
         assert not mr.translate(vpn).fault
@@ -110,7 +110,7 @@ def test_odp_without_batching_resolves_one_page():
     region = space.mmap(4 * PAGE_SIZE)
     mr = driver.register_odp(space, region)
     vpn0 = region.vpns()[0]
-    event = env.run(env.process(driver.service_fault(mr, vpn0, n_pages=4)))
+    event = env.run(driver.service_fault_async(mr, vpn0, n_pages=4))
     assert event.n_pages == 1
     assert not mr.translate(vpn0).fault
     assert mr.translate(vpn0 + 1).fault
@@ -123,11 +123,11 @@ def test_odp_major_fault_includes_swap_latency():
     mr = driver.register_odp(space, region)
     vpns = list(region.vpns())
     # Fault in page 0, then thrash it out via pages 1 and 2.
-    env.run(env.process(driver.service_fault(mr, vpns[0])))
+    env.run(driver.service_fault_async(mr, vpns[0]))
     space.touch_page(vpns[1])
     space.touch_page(vpns[2])
     assert not space.is_present(vpns[0])
-    event = env.run(env.process(driver.service_fault(mr, vpns[0])))
+    event = env.run(driver.service_fault_async(mr, vpns[0]))
     assert event.kind is NpfKind.MAJOR
     assert event.breakdown.swap >= memory.swap.seek_time
 
@@ -139,7 +139,7 @@ def test_odp_eviction_invalidates_io_pte():
     region = space.mmap(4 * PAGE_SIZE)
     mr = driver.register_odp(space, region)
     vpns = list(region.vpns())
-    env.run(env.process(driver.service_fault(mr, vpns[0])))
+    env.run(driver.service_fault_async(mr, vpns[0]))
     assert mr.is_mapped(vpns[0])
     space.touch_page(vpns[1])
     space.touch_page(vpns[2])  # evicts vpns[0]
@@ -155,7 +155,7 @@ def test_invalidation_of_unmapped_page_is_cheap():
     mr = driver.register_odp(space, region)
     vpn = region.vpns()[0]
     cheap = driver.invalidate(mr, vpn)
-    env.run(env.process(driver.service_fault(mr, vpn)))
+    env.run(driver.service_fault_async(mr, vpn))
     expensive = driver.invalidate(mr, vpn)
     assert cheap < expensive
 
@@ -166,7 +166,7 @@ def test_odp_deregister_stops_notifications():
     region = space.mmap(4 * PAGE_SIZE)
     mr = driver.register_odp(space, region)
     vpns = list(region.vpns())
-    env.run(env.process(driver.service_fault(mr, vpns[0])))
+    env.run(driver.service_fault_async(mr, vpns[0]))
     mr.deregister()
     before = driver.log.invalidation_count
     space.touch_page(vpns[1])
@@ -186,9 +186,7 @@ def test_concurrent_fault_classes_serialize_same_class():
     done = {}
 
     def faulter(tag, vpn, side):
-        yield env.process(
-            driver.service_fault(mr, vpn, side=side, channel="qp1")
-        )
+        yield driver.service_fault_async(mr, vpn, side=side, channel="qp1")
         done[tag] = env.now
 
     env.process(faulter("recv-a", vpns[0], NpfSide.RECEIVE))
@@ -211,7 +209,7 @@ def test_firmware_bypass_makes_second_fault_cheap():
     events = []
 
     def faulter():
-        ev = yield env.process(driver.service_fault(mr, vpn, n_pages=2, channel="qp"))
+        ev = yield driver.service_fault_async(mr, vpn, n_pages=2, channel="qp")
         events.append(ev)
 
     env.process(faulter())

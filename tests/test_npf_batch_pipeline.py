@@ -1,17 +1,16 @@
-"""Tests for the batched NPF fault-service pipeline (PR: batch pipeline).
+"""Tests for the batched NPF fault-service pipeline.
 
-Covers the streaming (``keep_events=False``) log against the keep-events
-log, the async callback pipeline against the generator path, fault
-coalescing, the bulk page-in / range-install fast paths, and the
-swap-burst batch amortization.
+Covers batched work-request faults, fault coalescing, the invalidation
+loop against the composed per-page unmap/breakdown/record reference,
+the bulk page-in / range-install paths, and the swap-burst batch
+amortization.
 """
-
-import math
 
 import pytest
 
-from repro.core import NpfCosts, NpfDriver, NpfKind, NpfSide
-from repro.core.npf import NpfLog
+from repro.analysis import hooks
+from repro.core import NpfCosts, NpfDriver, NpfSide
+from repro.core.npf import InvalidationEvent
 from repro.iommu import Iommu
 from repro.iommu.iotlb import Iotlb
 from repro.iommu.page_table import IoPageTable
@@ -21,108 +20,13 @@ from repro.sim.rng import Rng
 from repro.sim.units import PAGE_SIZE
 
 
-def make_stack(mem_pages=64, seed=None, log=None, **driver_kwargs):
+def make_stack(mem_pages=64, seed=None, **driver_kwargs):
     env = Environment()
     memory = Memory(mem_pages * PAGE_SIZE)
     iommu = Iommu()
     costs = NpfCosts(rng=Rng(seed)) if seed is not None else None
-    driver = NpfDriver(env, iommu, costs=costs, log=log, **driver_kwargs)
+    driver = NpfDriver(env, iommu, costs=costs, **driver_kwargs)
     return env, memory, iommu, driver
-
-
-def service_workload(env, driver, mr, base, faults=40, use_generator=False):
-    """Fault/invalidate loop across a few pages and both fault kinds."""
-
-    def body():
-        for i in range(faults):
-            vpn = base + (i % 8)
-            side = NpfSide.SEND if i % 2 else NpfSide.RECEIVE
-            if use_generator:
-                yield env.process(driver.service_fault(mr, vpn, 1, side))
-            else:
-                yield driver.service_fault_async(mr, vpn, 1, side)
-            driver.invalidate(mr, vpn)
-
-    env.run(env.process(body()))
-
-
-# ------------------------------------------------- streaming log parity
-def run_logged(keep_events, seed=7, faults=40):
-    log = NpfLog(keep_events=keep_events)
-    env, memory, iommu, driver = make_stack(seed=seed, log=log)
-    space = memory.create_space()
-    region = space.mmap(16 * PAGE_SIZE)
-    mr = driver.register_odp(space, region)
-    service_workload(env, driver, mr, region.vpns()[0], faults=faults)
-    return driver.log
-
-
-def test_streaming_summary_matches_keep_events_aggregates():
-    keep = run_logged(True)
-    stream = run_logged(False)
-    assert stream.npf_count == keep.npf_count
-    assert stream.minor_count == keep.minor_count
-    assert stream.major_count == keep.major_count
-    assert stream.invalidation_count == keep.invalidation_count
-    assert not stream.npf_events and not stream.invalidation_events
-
-    for side in (None, NpfSide.SEND, NpfSide.RECEIVE):
-        exact = keep.npf_summary(side)
-        est = stream.npf_summary(side)
-        # Same RNG draws, same float association: the scalar aggregates
-        # are bit-identical, not merely close.
-        assert est.count == exact.count
-        assert est.mean == exact.mean
-        assert est.minimum == exact.minimum
-        assert est.maximum == exact.maximum
-        # Percentiles are P^2 estimates beyond five samples: always
-        # bounded by the observed range, and in the right ballpark (the
-        # estimator can be ~20% off the exact tail at these sample sizes).
-        for attr in ("p50", "p95", "p99"):
-            lo, hi = exact.minimum, exact.maximum
-            assert lo <= getattr(est, attr) <= hi
-            assert getattr(est, attr) == pytest.approx(
-                getattr(exact, attr), rel=0.5)
-
-    exact = keep.invalidation_summary()
-    est = stream.invalidation_summary()
-    assert (est.count, est.mean, est.minimum, est.maximum) == (
-        exact.count, exact.mean, exact.minimum, exact.maximum)
-
-
-def test_streaming_percentiles_exact_below_five_events():
-    # The P^2 estimator keeps an exact sorted bootstrap until the fifth
-    # sample initialises the markers, so summaries over fewer than five
-    # events match the keep-events percentiles bit-for-bit.
-    keep = run_logged(True, faults=4)
-    stream = run_logged(False, faults=4)
-    exact = keep.npf_summary()
-    est = stream.npf_summary()
-    assert (est.p50, est.p95, est.p99) == (exact.p50, exact.p95, exact.p99)
-
-
-def test_record_totals_require_streaming_mode():
-    log = NpfLog()  # keep_events=True
-    with pytest.raises(ValueError):
-        log.record_npf_total(NpfSide.SEND, NpfKind.MINOR, 1.0)
-    with pytest.raises(ValueError):
-        log.record_invalidation_total(1.0)
-
-
-# ------------------------------------------- async vs generator parity
-def test_async_pipeline_matches_generator_path():
-    logs = []
-    for use_generator in (False, True):
-        env, memory, iommu, driver = make_stack(seed=3)
-        space = memory.create_space()
-        region = space.mmap(16 * PAGE_SIZE)
-        mr = driver.register_odp(space, region)
-        service_workload(env, driver, mr, region.vpns()[0],
-                         use_generator=use_generator)
-        logs.append(driver.log)
-    async_log, gen_log = logs
-    assert async_log.npf_events == gen_log.npf_events
-    assert async_log.invalidation_events == gen_log.invalidation_events
 
 
 def test_batched_wqe_fault_matches_n_pages_aggregate():
@@ -214,33 +118,106 @@ def test_coalescing_preserves_class_concurrency_bound():
 
 
 # ------------------------------------------------ invalidate_range parity
-def test_invalidate_range_matches_per_page_loop():
-    results = []
-    for bulk in (True, False):
+class _UnmapRecorder:
+    """Hook observer recording the unmap events and the state they see.
+
+    ``on_pt_unmap`` notes whether the PTE is already gone;
+    ``on_iommu_unmap`` notes whether the IOTLB entry is already shot
+    down.  Every other hook is accepted and ignored.
+    """
+
+    def __init__(self):
+        self.calls = []
+
+    def on_pt_unmap(self, table, iopn):
+        self.calls.append(("pt", table.domain_id, iopn,
+                           table.is_mapped(iopn)))
+
+    def on_iommu_unmap(self, iommu, domain_id, iopn, n_pages):
+        cached = any((domain_id, p) in iommu.iotlb._cache
+                     for p in range(iopn, iopn + n_pages))
+        self.calls.append(("iommu", domain_id, iopn, n_pages, cached))
+
+    def __getattr__(self, name):
+        if name.startswith("on_"):
+            return lambda *args, **kwargs: None
+        raise AttributeError(name)
+
+
+def _invalidation_run(mode):
+    """Fault 4 of 8 pages in, warm two IOTLB entries, invalidate all 8.
+
+    ``mode`` is ``"range"`` (one :meth:`NpfDriver.invalidate_range`),
+    ``"page"`` (per-page :meth:`NpfDriver.invalidate`) or
+    ``"reference"`` — the composed per-page flow built here from
+    ``Iommu.unmap`` + ``NpfCosts.invalidation_breakdown`` +
+    ``NpfLog.record_invalidation``.
+    """
+    recorder = _UnmapRecorder()
+    with hooks.session(recorder):
         env, memory, iommu, driver = make_stack(seed=5)
         space = memory.create_space()
         region = space.mmap(8 * PAGE_SIZE)
         mr = driver.register_odp(space, region)
         base = region.vpns()[0]
-
-        def body():
-            yield driver.service_fault_async(mr, base, 4, NpfSide.SEND)
-
-        env.run(env.process(body()))
-        if bulk:
+        domain_id = mr.domain.domain_id
+        env.run(driver.service_fault_async(mr, base, 4, NpfSide.SEND))
+        mr.translate(base + 1)
+        mr.translate(base + 3)
+        assert len(iommu.iotlb) == 2
+        del recorder.calls[:]
+        if mode == "range":
             total = driver.invalidate_range(mr, base, 8)
-        else:
+        elif mode == "page":
             total = 0.0
             for vpn in range(base, base + 8):
                 total += driver.invalidate(mr, vpn)
-        results.append((total, driver.log.invalidation_events,
-                        driver.log.invalidation_count,
-                        iommu._domains[mr.domain.domain_id].unmaps,
-                        iommu.iotlb.invalidations))
-    bulk_r, loop_r = results
-    assert bulk_r[0] == loop_r[0]  # summed latency, same draws
-    assert bulk_r[1] == loop_r[1]  # per-page events incl. breakdowns
-    assert bulk_r[2:] == loop_r[2:]  # log / page-table / IOTLB counters
+        else:
+            total = 0.0
+            for vpn in range(base, base + 8):
+                was_mapped = iommu.unmap(domain_id, vpn)
+                breakdown = driver.costs.invalidation_breakdown(was_mapped)
+                driver.log.record_invalidation(
+                    InvalidationEvent(env.now, vpn, was_mapped, breakdown))
+                total += breakdown.total
+    table = iommu.domain(domain_id)
+    return dict(
+        total=total,
+        events=driver.log.invalidation_events,
+        count=driver.log.invalidation_count,
+        unmaps=table.unmaps,
+        entries=dict(table._entries),
+        iotlb=dict(iommu.iotlb._cache),
+        shootdowns=iommu.iotlb.invalidations,
+        rng=driver.costs.rng._random.getstate(),
+        hooks=recorder.calls,
+    )
+
+
+def test_invalidate_range_matches_per_page_loop():
+    want = _invalidation_run("reference")
+    for mode in ("range", "page"):
+        got = _invalidation_run(mode)
+        assert got["total"] == want["total"], mode    # same draws, same sum
+        assert got["events"] == want["events"], mode  # incl. breakdowns
+        for key in ("count", "unmaps", "entries", "iotlb", "shootdowns",
+                    "rng"):
+            assert got[key] == want[key], (mode, key)
+    assert len(want["events"]) == 8
+    assert sum(ev.was_mapped for ev in want["events"]) == 4
+    assert want["iotlb"] == {}
+
+
+def test_invalidate_range_fires_per_page_unmap_hooks():
+    want = _invalidation_run("reference")["hooks"]
+    for mode in ("range", "page"):
+        assert _invalidation_run(mode)["hooks"] == want, mode
+    # One on_pt_unmap per mapped page, after its PTE is gone, and one
+    # on_iommu_unmap per page (mapped or not) after its shootdown.
+    kinds = [c[0] for c in want]
+    assert kinds.count("pt") == 4 and kinds.count("iommu") == 8
+    assert not any(c[3] for c in want if c[0] == "pt")
+    assert not any(c[4] for c in want if c[0] == "iommu")
 
 
 # ------------------------------------------------- bulk page-in / batches

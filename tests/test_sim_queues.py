@@ -1,9 +1,8 @@
-"""Unit tests for Store and PriorityStore."""
+"""Unit tests for Store."""
 
 import pytest
 
 from repro.sim import Environment, Store, StoreFull
-from repro.sim.queues import PriorityStore
 
 
 def test_put_get_fifo_order():
@@ -111,58 +110,6 @@ def test_zero_capacity_rejected():
         Store(env, capacity=0)
 
 
-def test_priority_store_pops_smallest_first():
-    env = Environment()
-    store = PriorityStore(env)
-    for value in (5, 1, 3):
-        store.put_nowait(value)
-    popped = [store.get_nowait() for _ in range(3)]
-    assert popped == [1, 3, 5]
-
-
-def test_priority_store_blocking_get():
-    env = Environment()
-    store = PriorityStore(env)
-    received = []
-
-    def consumer():
-        item = yield store.get()
-        received.append(item)
-
-    def producer():
-        yield env.timeout(1.0)
-        yield store.put(9)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert received == [9]
-
-
-def test_priority_store_capacity_and_wakeup():
-    env = Environment()
-    store = PriorityStore(env, capacity=1)
-    events = []
-
-    def producer():
-        yield store.put(2)
-        events.append(("put2", env.now))
-        yield store.put(1)
-        events.append(("put1", env.now))
-
-    def consumer():
-        yield env.timeout(2.0)
-        item = yield store.get()
-        events.append(("got", item, env.now))
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert ("put2", 0.0) in events
-    assert ("got", 2, 2.0) in events
-    assert ("put1", 2.0) in events
-
-
 def test_put_many_nowait_matches_loop_semantics():
     env = Environment()
     store = Store(env)
@@ -201,10 +148,3 @@ def test_put_many_nowait_raises_at_first_overflow():
         store.put_many_nowait([1, 2, 3])
     # Items accepted before the overflow stay queued.
     assert [store.get_nowait(), store.get_nowait()] == [1, 2]
-
-
-def test_put_many_nowait_priority_store_pops_sorted():
-    env = Environment()
-    store = PriorityStore(env)
-    store.put_many_nowait([5, 1, 4, 2])
-    assert [store.get_nowait() for _ in range(4)] == [1, 2, 4, 5]

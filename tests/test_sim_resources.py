@@ -1,8 +1,8 @@
-"""Unit tests for Resource and Gate."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Environment, Gate, Resource, SimulationError
+from repro.sim import Environment, Resource, SimulationError
 
 
 def test_resource_grants_up_to_capacity():
@@ -83,50 +83,3 @@ def test_resource_counters():
     assert res.in_use == 1
     assert res.available == 2
     assert res.queue_length == 0
-
-
-def test_gate_blocks_until_open():
-    env = Environment()
-    gate = Gate(env)
-    passed = []
-
-    def waiter(tag):
-        yield gate.wait()
-        passed.append((tag, env.now))
-
-    env.process(waiter("a"))
-    env.process(waiter("b"))
-    env.schedule_callback(4.0, gate.open)
-    env.run()
-    assert passed == [("a", 4.0), ("b", 4.0)]
-
-
-def test_open_gate_passes_immediately():
-    env = Environment()
-    gate = Gate(env, open_=True)
-    passed = []
-
-    def waiter():
-        yield gate.wait()
-        passed.append(env.now)
-
-    env.process(waiter())
-    env.run()
-    assert passed == [0.0]
-
-
-def test_gate_reclose_blocks_new_waiters():
-    env = Environment()
-    gate = Gate(env, open_=True)
-    gate.close()
-    assert not gate.is_open
-    passed = []
-
-    def waiter():
-        yield gate.wait()
-        passed.append(env.now)
-
-    env.process(waiter())
-    env.schedule_callback(2.0, gate.open)
-    env.run()
-    assert passed == [2.0]

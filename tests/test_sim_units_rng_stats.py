@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim import Rng, Summary, TimeSeries, percentile
-from repro.sim.stats import Counter, RateMeter
+from repro.sim.stats import RateMeter
 from repro.sim.units import (
     GB,
     Gbps,
@@ -173,120 +173,3 @@ def test_rate_meter_converts_counts_to_rates():
 def test_rate_meter_validation():
     with pytest.raises(ValueError):
         RateMeter(interval=0)
-
-
-def test_counter_merge():
-    a = Counter()
-    a.add("faults")
-    a.add("faults", 2)
-    b = Counter()
-    b.add("faults", 1)
-    b.add("drops", 5)
-    a.merge(b)
-    assert a.get("faults") == 4
-    assert a.get("drops") == 5
-    assert a.get("missing") == 0
-    assert dict(a.items()) == {"drops": 5, "faults": 4}
-
-
-# ------------------------------------------------------- streaming stats
-
-
-def test_p2_quantile_exact_below_five_samples():
-    from repro.sim import P2Quantile
-
-    q = P2Quantile(0.5)
-    with pytest.raises(ValueError):
-        q.value()
-    for x in (5.0, 1.0, 3.0):
-        q.add(x)
-    assert q.value() == 3.0
-    assert q.count == 3
-
-
-def test_p2_quantile_validation():
-    from repro.sim import P2Quantile
-
-    with pytest.raises(ValueError):
-        P2Quantile(0.0)
-    with pytest.raises(ValueError):
-        P2Quantile(1.0)
-
-
-def test_p2_quantile_tracks_known_distribution():
-    from repro.sim import P2Quantile
-
-    rng = Rng(7)
-    q50, q95 = P2Quantile(0.5), P2Quantile(0.95)
-    samples = [rng.uniform(0.0, 1000.0) for _ in range(20_000)]
-    for x in samples:
-        q50.add(x)
-        q95.add(x)
-    # Uniform(0, 1000): p50 ~ 500, p95 ~ 950; P2 should land within ~2%.
-    assert abs(q50.value() - percentile(samples, 50)) < 20.0
-    assert abs(q95.value() - percentile(samples, 95)) < 20.0
-
-
-def test_streaming_summary_exact_moments_estimated_percentiles():
-    from repro.sim import StreamingSummary
-
-    rng = Rng(3)
-    samples = [rng.expovariate(1e-3) for _ in range(10_000)]
-    stream = StreamingSummary()
-    for x in samples:
-        stream.add(x)
-    exact = Summary.of(samples)
-    assert stream.count == exact.count
-    assert stream.minimum == exact.minimum
-    assert stream.maximum == exact.maximum
-    assert stream.mean == pytest.approx(exact.mean)
-    # Percentiles are P2 estimates: within a few percent on 10k samples.
-    assert stream.p50 == pytest.approx(exact.p50, rel=0.05)
-    assert stream.p95 == pytest.approx(exact.p95, rel=0.05)
-    assert stream.p99 == pytest.approx(exact.p99, rel=0.10)
-    frozen = stream.summary()
-    assert frozen.count == exact.count
-    assert frozen.p50 == stream.p50
-
-
-def test_streaming_summary_empty_raises():
-    from repro.sim import StreamingSummary
-
-    with pytest.raises(ValueError):
-        StreamingSummary().summary()
-
-
-@given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=200))
-def test_streaming_summary_bounds(data):
-    from repro.sim import StreamingSummary
-
-    stream = StreamingSummary()
-    for x in data:
-        stream.add(x)
-    assert stream.minimum == min(data)
-    assert stream.maximum == max(data)
-    assert stream.minimum <= stream.p50 <= stream.maximum
-    assert stream.minimum <= stream.p95 <= stream.maximum
-    assert stream.minimum <= stream.p99 <= stream.maximum
-
-
-def test_streaming_summary_add_many_bit_identical():
-    from repro.sim import StreamingSummary
-    import random
-
-    rng = random.Random(7)
-    samples = [rng.expovariate(1.0) for _ in range(500)]
-    one = StreamingSummary()
-    for x in samples:
-        one.add(x)
-    bulk = StreamingSummary()
-    bulk.add_many(samples[:123])
-    bulk.add_many([])
-    bulk.add_many(samples[123:])
-    assert bulk.count == one.count
-    assert bulk.total == one.total
-    assert bulk.minimum == one.minimum
-    assert bulk.maximum == one.maximum
-    assert bulk.p50 == one.p50
-    assert bulk.p95 == one.p95
-    assert bulk.p99 == one.p99

@@ -167,12 +167,9 @@ def bench_npf_service(scale: int) -> int:
     """Full NPF service flows (fault -> OS -> PT update -> resume).
 
     ``scale`` is the number of faults serviced — the returned op count is
-    exactly that (no hidden divisor).  Uses the default keep-events log
-    on every checkout so both sides of a seed comparison do the same
-    record work (the seed's ``keep_events=False`` mode silently *drops*
-    events, which is not comparable), and the event-based
-    ``service_fault_async`` pipeline where the checkout has it, the
-    process/generator path otherwise.
+    exactly that (no hidden divisor).  Drives the event-based
+    ``service_fault_async`` pipeline, recording every event in the
+    default log.
     """
     env = Environment()
     memory = Memory(1024 * PAGE_SIZE)
@@ -181,20 +178,13 @@ def bench_npf_service(scale: int) -> int:
     region = space.mmap(512 * PAGE_SIZE)
     mr = driver.register_odp(space, region)
     base = region.vpns()[0]
-    service_async = getattr(driver, "service_fault_async", None)
+    service_async = driver.service_fault_async
 
-    if service_async is not None:
-        def faults():
-            for i in range(scale):
-                vpn = base + (i % 512)
-                yield service_async(mr, vpn, 1, NpfSide.SEND)
-                driver.invalidate(mr, vpn)
-    else:
-        def faults():
-            for i in range(scale):
-                vpn = base + (i % 512)
-                yield env.process(driver.service_fault(mr, vpn, 1, NpfSide.SEND))
-                driver.invalidate(mr, vpn)
+    def faults():
+        for i in range(scale):
+            vpn = base + (i % 512)
+            yield service_async(mr, vpn, 1, NpfSide.SEND)
+            driver.invalidate(mr, vpn)
 
     env.run(env.process(faults()))
     return scale

@@ -388,7 +388,7 @@ def _check_scheduler_heap(path: str, tree: ast.Module) -> Iterator[RawFinding]:
     breaks the dispatch order the determinism gates ride on.  All
     scheduling goes through the Environment API (``timeout``/``after``/
     ``defer``/``schedule_callback``); ``sim/`` itself is exempt (the
-    queue discipline lives there, e.g. ``PriorityStore``'s item heap).
+    queue discipline lives there).
     """
     rel = _repro_parts(path)
     if rel is None or (rel and rel[0] == "sim"):
